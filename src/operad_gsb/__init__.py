@@ -33,14 +33,13 @@ from .rewriting import (
     Occurrence,
     RewriteRule,
     apply_rule_at,
-    find_occurrences,
     is_normal_monomial,
     normal_form,
+    occurrences,
 )
 from .trees import (
     LEAF,
     OperationSymbol,
-    PathSequence,
     Signature,
     TreeError,
     TreeMonomial,
@@ -48,7 +47,7 @@ from .trees import (
     graft,
     node,
     parse_tree,
-    path_sequence,
+    path_words,
     subtree_at,
 )
 
@@ -85,12 +84,11 @@ __all__ = [
     "Occurrence",
     "RewriteRule",
     "apply_rule_at",
-    "find_occurrences",
     "is_normal_monomial",
     "normal_form",
+    "occurrences",
     "LEAF",
     "OperationSymbol",
-    "PathSequence",
     "Signature",
     "TreeError",
     "TreeMonomial",
@@ -98,6 +96,6 @@ __all__ = [
     "graft",
     "node",
     "parse_tree",
-    "path_sequence",
+    "path_words",
     "subtree_at",
 ]

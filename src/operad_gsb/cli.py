@@ -1,10 +1,13 @@
 """Command-line frontend: completion, reduction, counting, order sweeps.
 
 Exit codes: 0 for success (``complete`` additionally requires a confirmed
-basis), 1 for usage or input errors, 2 when completion stopped at a cap.
-Identical invocations produce byte-identical output; the sweep may run
-its completions in parallel (``OPERAD_GSB_THREADS``) without affecting
-the result.
+basis), 1 for usage or input errors, 2 when completion stopped at a cap
+(iterations or arity).  An exhausted ``--step-limit`` is not such a cap:
+the limit only guards against non-terminating rule sets, so it ends as an
+error with exit code 1.  Identical invocations produce byte-identical
+output; the sweep may run its completions in parallel
+(``OPERAD_GSB_THREADS``, a positive integer clamped to the CPU count)
+without affecting the result.
 """
 
 from __future__ import annotations
@@ -86,17 +89,32 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_presentation(args) -> Presentation:
-    if args.preset == "dendriform":
-        return dendriform()
-    if args.preset == "quadri":
-        return quadri()
-    path: Path = args.relations
+def _read_source(args) -> tuple[str | None, str | None, str | None]:
+    """``(preset, relation-file text, name)`` for ``--preset``/``--relations``.
+
+    The tuple is picklable, so sweep workers rebuild the presentation
+    from it without reading the file again.
+    """
+    path: Path | None = args.relations
+    if path is None:
+        return args.preset, None, args.preset
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    return parse_presentation(text, name=path.stem)
+    return None, text, path.stem
+
+
+def _presentation(preset: str | None, text: str | None, name: str | None) -> Presentation:
+    if preset == "dendriform":
+        return dendriform()
+    if preset == "quadri":
+        return quadri()
+    return parse_presentation(text, name=name)
+
+
+def _load_presentation(args) -> Presentation:
+    return _presentation(*_read_source(args))
 
 
 def _resolve_order(args, pres: Presentation) -> OperationOrder:
@@ -225,17 +243,19 @@ def _sweep_orders(pres: Presentation) -> list[str]:
 
 
 def _sweep_one(payload: tuple) -> dict:
-    preset_name, file_text, order_text, caps = payload
-    if preset_name == "dendriform":
-        pres = dendriform()
-    elif preset_name == "quadri":
-        pres = quadri()
-    else:
-        pres = parse_presentation(file_text)
+    source, order_text, caps = payload
+    pres = _presentation(*source)
     ord = OperationOrder.from_string(order_text, pres.signature)
-    cfg = CompletionConfig(*caps)
-    _, report = complete(pres.relations, ord, cfg)
+    _, report = complete(pres.relations, ord, CompletionConfig(*caps))
     return report.to_json_dict(ord)
+
+
+def _worker_count() -> int:
+    """``OPERAD_GSB_THREADS`` (default 1), clamped to the CPU count."""
+    raw = os.environ.get("OPERAD_GSB_THREADS", "1")
+    if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
+        raise UsageError(f"OPERAD_GSB_THREADS must be a positive integer, got {raw!r}")
+    return min(int(raw), os.cpu_count() or 1)
 
 
 def _gsb_marker(row: dict) -> str:
@@ -245,16 +265,14 @@ def _gsb_marker(row: dict) -> str:
 
 
 def _cmd_table1(args) -> int:
-    pres = _load_presentation(args)
+    threads = _worker_count()
+    source = _read_source(args)
+    pres = _presentation(*source)
     if not pres.signature.is_binary:
         raise UsageError("order sweep needs a binary presentation")
     orders = _sweep_orders(pres)
     caps = (args.max_iterations, args.max_arity, args.step_limit)
-    file_text = None
-    if args.preset is None:
-        file_text = args.relations.read_text(encoding="utf-8")
-    payloads = [(args.preset, file_text, order, caps) for order in orders]
-    threads = int(os.environ.get("OPERAD_GSB_THREADS", "1"))
+    payloads = [(source, order, caps) for order in orders]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_sweep_one, payloads))
@@ -302,10 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except TreeError as exc:
+    except (UsageError, TreeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

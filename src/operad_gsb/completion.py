@@ -268,6 +268,44 @@ def _validate_input(relations: Sequence[TreePolynomial], ord: OperationOrder) ->
                 ord.rank(subtree_at(mono, v).label)
 
 
+@dataclass(frozen=True)
+class CompositionRecord:
+    """One checked composition: the pair, its SCM, and the normal form."""
+
+    outer_index: int
+    inner_index: int
+    scm: SmallCommonMultiple
+    normal_form: TreePolynomial
+
+
+def _check_compositions(
+    rules: tuple[RewriteRule, ...],
+    ord: OperationOrder,
+    cfg: CompletionConfig,
+    first_new: int = 0,
+) -> tuple[list[CompositionRecord], bool]:
+    """Reduce every composition of ``rules`` against ``rules`` themselves.
+
+    Walks ordered pairs (outer, inner), then their SCMs in preorder,
+    skipping pairs whose indices both lie below ``first_new``.  Returns
+    the records in that order and whether the arity cap skipped any
+    candidate multiple.
+    """
+    reducer = Reducer(rules, ord, cfg.step_limit)
+    records: list[CompositionRecord] = []
+    skipped_any = False
+    for j_outer, g in enumerate(rules):
+        for i_inner, f in enumerate(rules):
+            if i_inner < first_new and j_outer < first_new:
+                continue
+            scms, skipped = _enumerate_scms(f.lead, g.lead, cfg.max_arity)
+            skipped_any = skipped_any or skipped > 0
+            for scm in scms:
+                nf = reducer.reduce(s_polynomial(f, g, scm))
+                records.append(CompositionRecord(j_outer, i_inner, scm, nf))
+    return records, skipped_any
+
+
 def complete(
     relations: Sequence[TreePolynomial],
     ord: OperationOrder,
@@ -297,34 +335,24 @@ def complete(
     pair_log: list[list] = []
     status = STATUS_ITERATION_CAP
     arity_skipped = False
-    for iteration in range(1, cfg.max_iterations + 1):
-        snapshot = tuple(rules)
-        reducer = Reducer(snapshot, ord, cfg.step_limit)
-        compositions = 0
+    for _ in range(cfg.max_iterations):
+        records, skipped = _check_compositions(rules, ord, cfg, first_new)
+        arity_skipped = arity_skipped or skipped
         survivors: list[TreePolynomial] = []
-        log: list[tuple[int, int, SmallCommonMultiple, bool]] = []
-        for j_outer, g in enumerate(snapshot):
-            for i_inner, f in enumerate(snapshot):
-                if iteration > 1 and i_inner < first_new and j_outer < first_new:
-                    continue
-                scms, skipped = _enumerate_scms(f.lead, g.lead, cfg.max_arity)
-                arity_skipped = arity_skipped or skipped > 0
-                for scm in scms:
-                    compositions += 1
-                    nf = reducer.reduce(s_polynomial(f, g, scm))
-                    log.append((j_outer, i_inner, scm, not nf.is_zero))
-                    if nf:
-                        monic = nf.make_monic(ord)
-                        if monic not in survivors:
-                            survivors.append(monic)
+        for rec in records:
+            if rec.normal_form:
+                monic = rec.normal_form.make_monic(ord)
+                if monic not in survivors:
+                    survivors.append(monic)
         first_new = len(rules)
-        rules = snapshot + tuple(
-            RewriteRule.from_polynomial(s, ord) for s in survivors
-        )
+        rules = rules + tuple(RewriteRule.from_polynomial(s, ord) for s in survivors)
         iterations.append(
-            IterationRecord(compositions, len(survivors), tuple(survivors))
+            IterationRecord(len(records), len(survivors), tuple(survivors))
         )
-        pair_log.append(log)
+        pair_log.append([
+            (rec.outer_index, rec.inner_index, rec.scm, not rec.normal_form.is_zero)
+            for rec in records
+        ])
         if not survivors:
             status = STATUS_ARITY_CAP if arity_skipped else STATUS_CONFIRMED
             break
@@ -338,16 +366,6 @@ def complete(
         pair_log=pair_log,
     )
     return basis, report
-
-
-@dataclass(frozen=True)
-class CompositionRecord:
-    """One checked composition: the pair, its SCM, and the normal form."""
-
-    outer_index: int
-    inner_index: int
-    scm: SmallCommonMultiple
-    normal_form: TreePolynomial
 
 
 @dataclass(frozen=True)
@@ -368,19 +386,8 @@ def is_gsb(basis: GSBasis, cfg: CompletionConfig | None = None) -> GsbCheck:
     to ``indeterminate`` rather than confirming.
     """
     cfg = cfg or CompletionConfig()
-    reducer = Reducer(basis.rules, basis.order, cfg.step_limit)
-    records: list[CompositionRecord] = []
-    skipped_any = False
-    refuted = False
-    for j_outer, g in enumerate(basis.rules):
-        for i_inner, f in enumerate(basis.rules):
-            scms, skipped = _enumerate_scms(f.lead, g.lead, cfg.max_arity)
-            skipped_any = skipped_any or skipped > 0
-            for scm in scms:
-                nf = reducer.reduce(s_polynomial(f, g, scm))
-                records.append(CompositionRecord(j_outer, i_inner, scm, nf))
-                refuted = refuted or not nf.is_zero
-    if refuted:
+    records, skipped_any = _check_compositions(basis.rules, basis.order, cfg)
+    if any(rec.normal_form for rec in records):
         status = "refuted"
     elif skipped_any:
         status = "indeterminate"

@@ -21,29 +21,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 from .ordering import OperationOrder
 from .polynomials import TreePolynomial, add, scale
-from .trees import (
-    OperationSymbol,
-    TreeError,
-    TreeMonomial,
-    graft,
-    internal_vertices,
-    replace_at,
-    subtree_at,
-)
+from .trees import TreeError, TreeMonomial, graft, replace_at, subtree_at
 
 __all__ = [
     "Occurrence",
     "RewriteRule",
     "ReductionError",
-    "find_occurrences",
+    "occurrences",
     "match_at",
-    "has_occurrence",
-    "context_with_hole",
-    "fill_hole",
     "apply_rule_at",
     "normal_form",
     "is_normal_monomial",
@@ -99,63 +88,37 @@ def _match(ambient: TreeMonomial, pattern: TreeMonomial) -> list[TreeMonomial] |
     return bindings
 
 
-def find_occurrences(ambient: TreeMonomial, pattern: TreeMonomial) -> list[Occurrence]:
-    """All occurrences of ``pattern`` in ``ambient``, in preorder of vertex.
+def occurrences(
+    ambient: TreeMonomial, patterns: Sequence[TreeMonomial]
+) -> Iterator[tuple[tuple[int, ...], int, Occurrence]]:
+    """Yield ``(vertex, pattern index, occurrence)`` for every embedding.
 
-    The pattern must have at least one internal vertex; a bare leaf would
-    match everywhere and is rejected.
+    One preorder walk carries each vertex's subtree, so no match starts
+    from the root again.  Vertices come in preorder and, at each vertex,
+    patterns in list order: the first item is the pinned redex.  Every
+    pattern needs an internal vertex; a bare leaf would match everywhere
+    and is rejected.
     """
-    if pattern.is_leaf:
+    if any(p.is_leaf for p in patterns):
         raise TreeError("leaf pattern would occur at every vertex")
-    out = []
-    for vertex in internal_vertices(ambient):
-        occ = match_at(ambient, vertex, pattern)
-        if occ is not None:
-            out.append(occ)
-    return out
+    if ambient.is_leaf:
+        return
+    stack = [((), ambient)]
+    while stack:
+        vertex, sub = stack.pop()
+        for idx, pattern in enumerate(patterns):
+            bindings = _match(sub, pattern)
+            if bindings is not None:
+                yield vertex, idx, Occurrence(vertex, tuple(bindings))
+        children = sub.children
+        for i in range(len(children) - 1, -1, -1):
+            if not children[i].is_leaf:
+                stack.append((vertex + (i,), children[i]))
 
 
-def has_occurrence(ambient: TreeMonomial, pattern: TreeMonomial) -> bool:
-    if pattern.is_leaf:
-        raise TreeError("leaf pattern would occur at every vertex")
-    for vertex in internal_vertices(ambient):
-        if match_at(ambient, vertex, pattern) is not None:
-            return True
-    return False
-
-
-def is_normal_monomial(t: TreeMonomial, leads: Iterable[TreeMonomial]) -> bool:
+def is_normal_monomial(t: TreeMonomial, leads: Sequence[TreeMonomial]) -> bool:
     """True iff no lead occurs anywhere in ``t``."""
-    return not any(has_occurrence(t, lead) for lead in leads)
-
-
-_HOLES: dict[int, OperationSymbol] = {}
-
-
-def _hole_symbol(arity: int) -> OperationSymbol:
-    if arity not in _HOLES:
-        _HOLES[arity] = OperationSymbol(f"hole{arity}", arity)
-    return _HOLES[arity]
-
-
-def context_with_hole(
-    ambient: TreeMonomial, occ: Occurrence, pattern_arity: int
-) -> TreeMonomial:
-    """Collapse the matched region to a hole vertex holding the bindings."""
-    if len(occ.bindings) != pattern_arity:
-        raise TreeError("occurrence bindings do not fit the pattern arity")
-    hole = TreeMonomial(_hole_symbol(pattern_arity), occ.bindings)
-    return replace_at(ambient, occ.vertex, hole)
-
-
-def fill_hole(context: TreeMonomial, pattern: TreeMonomial) -> TreeMonomial:
-    """Expand the unique hole vertex by grafting its children into ``pattern``."""
-    sym = _hole_symbol(pattern.arity)
-    for vertex in internal_vertices(context):
-        if subtree_at(context, vertex).label == sym:
-            filled = graft(pattern, subtree_at(context, vertex).children)
-            return replace_at(context, vertex, filled)
-    raise TreeError(f"context has no hole of arity {pattern.arity}")
+    return next(occurrences(t, leads), None) is None
 
 
 @dataclass(frozen=True)
@@ -234,34 +197,19 @@ class Reducer:
         step_limit: int = DEFAULT_STEP_LIMIT,
     ):
         self.rules = tuple(rules)
+        self._leads = tuple(r.lead for r in self.rules)
         self.ord = ord
         self.step_limit = step_limit
         self._first_redex: dict[TreeMonomial, tuple | None] = {}
 
     def first_redex(self, m: TreeMonomial) -> tuple | None:
         """Smallest (vertex, rule index, occurrence) triple in ``m``, if any."""
-        if m in self._first_redex:
-            return self._first_redex[m]
-        best = None
-        for vertex in internal_vertices(m):
-            for idx, rule in enumerate(self.rules):
-                occ = match_at(m, vertex, rule.lead)
-                if occ is not None:
-                    best = (vertex, idx, occ)
-                    break
-            if best is not None:
-                break
-        self._first_redex[m] = best
-        return best
+        if m not in self._first_redex:
+            self._first_redex[m] = next(occurrences(m, self._leads), None)
+        return self._first_redex[m]
 
     def all_redexes(self, m: TreeMonomial) -> list[tuple]:
-        out = []
-        for vertex in internal_vertices(m):
-            for idx, rule in enumerate(self.rules):
-                occ = match_at(m, vertex, rule.lead)
-                if occ is not None:
-                    out.append((vertex, idx, occ))
-        return out
+        return list(occurrences(m, self._leads))
 
     def _reduce_inplace(self, p: TreePolynomial) -> TreePolynomial:
         """Worklist reduction on a mutable term map.

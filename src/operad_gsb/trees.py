@@ -19,12 +19,12 @@ __all__ = [
     "OperationSymbol",
     "Signature",
     "TreeMonomial",
-    "PathSequence",
     "TreeError",
     "TreeParseError",
     "LEAF",
+    "MAX_TREE_DEPTH",
     "node",
-    "path_sequence",
+    "path_words",
     "graft",
     "subtree_at",
     "replace_at",
@@ -163,25 +163,10 @@ def node(label: OperationSymbol, *children: TreeMonomial) -> TreeMonomial:
     return TreeMonomial(label, children)
 
 
-@dataclass(frozen=True)
-class PathSequence:
-    """Per-leaf root-to-vertex label words, leaves ordered left to right."""
-
-    words: tuple[tuple[str, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-
-def path_sequence(t: TreeMonomial) -> PathSequence:
-    """Associate to each leaf the word of internal labels from root to it.
-
-    The single leaf maps to one empty word.
-    """
-    return PathSequence(path_words(t))
-
-
 def path_words(t: TreeMonomial) -> tuple[tuple[str, ...], ...]:
+    """Associate to each leaf, left to right, the word of internal labels
+    from the root to it.  The single leaf maps to one empty word.
+    """
     if t.is_leaf:
         return ((),)
     name = t.label.name
@@ -277,8 +262,18 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
+# Deepest vertex nesting the parser accepts.  The recursive helpers
+# (``_graft``, ``replace_at``, ``format_tree``, ``path_words`` and the
+# matcher) use at most two frames per level, so trees this deep stay well
+# under Python's default recursion limit of 1000 frames.
+MAX_TREE_DEPTH = 300
+
+
 def parse_tree(text: str, sig: Signature) -> TreeMonomial:
-    """Parse ``"*"`` or ``"(symbol tree...)"`` into a tree monomial."""
+    """Parse ``"*"`` or ``"(symbol tree...)"`` into a tree monomial.
+
+    Nesting deeper than ``MAX_TREE_DEPTH`` vertices is rejected.
+    """
     tokens = _tokenize(text)
     tree, rest = _parse_tree_tokens(tokens, sig)
     if rest:
@@ -286,7 +281,7 @@ def parse_tree(text: str, sig: Signature) -> TreeMonomial:
     return tree
 
 
-def _parse_tree_tokens(tokens, sig: Signature):
+def _parse_tree_tokens(tokens, sig: Signature, depth: int = 0):
     if not tokens:
         raise TreeParseError("unexpected end of input", 0)
     tok, pos = tokens[0]
@@ -294,6 +289,8 @@ def _parse_tree_tokens(tokens, sig: Signature):
         return LEAF, tokens[1:]
     if tok != "(":
         raise TreeParseError(f"expected '(' or '*', got {tok!r}", pos)
+    if depth == MAX_TREE_DEPTH:
+        raise TreeParseError(f"tree nested deeper than {MAX_TREE_DEPTH} vertices", pos)
     if len(tokens) < 2:
         raise TreeParseError("unexpected end of input after '('", pos)
     name, name_pos = tokens[1]
@@ -305,7 +302,7 @@ def _parse_tree_tokens(tokens, sig: Signature):
     rest = tokens[2:]
     children = []
     for _ in range(sym.arity):
-        child, rest = _parse_tree_tokens(rest, sig)
+        child, rest = _parse_tree_tokens(rest, sig, depth + 1)
         children.append(child)
     if not rest or rest[0][0] != ")":
         where = rest[0][1] if rest else pos

@@ -1,9 +1,10 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import os
 from pathlib import Path
 
-
+from operad_gsb import cli
 from operad_gsb.cli import main
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -196,3 +197,43 @@ def test_out_file(capsys, tmp_path):
     assert code == 0 and out == ""
     doc = json.loads(path.read_text())
     assert doc["status"] == "gsb_confirmed"
+
+
+def test_threads_must_be_positive_integer(capsys, monkeypatch):
+    for bad in ("abc", "0", "-2", "1.5", ""):
+        monkeypatch.setenv("OPERAD_GSB_THREADS", bad)
+        code, out, err = run(capsys, "table1", "--preset", "dendriform")
+        assert code == 1 and out == ""
+        assert err.startswith("error: OPERAD_GSB_THREADS")
+
+
+def test_threads_clamped_to_cpu_count(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-CPU sweep must not start worker processes")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    _, serial, _ = run(capsys, "table1", "--preset", "dendriform")
+    monkeypatch.setenv("OPERAD_GSB_THREADS", "8")
+    code, clamped, _ = run(capsys, "table1", "--preset", "dendriform")
+    assert code == 0 and clamped == serial
+
+
+def test_deep_tree_is_an_error(capsys):
+    deep = "(prec " * 3000 + "*" + " *)" * 3000
+    code, out, err = run(
+        capsys, "reduce", "--preset", "dendriform", "--order", "prec<succ", deep,
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: tree nested deeper than") and "offset" in err
+
+
+def test_step_limit_is_an_error_not_a_cap(capsys):
+    # the step limit guards against non-terminating rule sets, so running
+    # out of it is an error (exit 1), unlike the completion caps (exit 2)
+    code, out, err = run(
+        capsys, "complete", "--preset", "dendriform", "--order", "succ<prec",
+        "--step-limit", "1",
+    )
+    assert code == 1 and out == ""
+    assert err == "error: reduction exceeded step limit of 1\n"

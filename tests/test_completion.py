@@ -185,6 +185,18 @@ def test_is_gsb(dend, dend_down, dend_basis_down, quad, quad_cdba):
     assert capped.status == "indeterminate"
 
 
+@pytest.mark.parametrize("order_text", ["c<b<d<a", "c<d<b<a"])
+def test_is_gsb_certificate_matches_pair_log(quad, order_text):
+    # complete and is_gsb share one composition loop, so on a basis
+    # confirmed at iteration 1 they check the same compositions in order
+    order = og.OperationOrder.from_string(order_text, quad.signature)
+    basis, report = og.complete(quad.relations, order)
+    certificate = og.is_gsb(basis).certificate
+    assert [(r.outer_index, r.inner_index, r.scm) for r in certificate] == [
+        (outer, inner, scm) for outer, inner, scm, _ in report.pair_log[0]
+    ]
+
+
 def test_iteration_one_count_matches_chain_formula(quad):
     # for quadratic binary input, compositions at iteration 1 count the
     # (outer second letter == inner root letter) chain matches

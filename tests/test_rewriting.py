@@ -11,10 +11,9 @@ from operad_gsb.rewriting import (
     ReductionError,
     Reducer,
     RewriteRule,
-    context_with_hole,
-    fill_hole,
     match_at,
 )
+from operad_gsb.trees import internal_vertices, replace_at
 
 from conftest import random_polynomial, random_tree
 
@@ -45,6 +44,11 @@ def corolla(x, y, z):
     return og.node(x, og.node(y, LEAF, LEAF), og.node(z, LEAF, LEAF))
 
 
+def find(ambient, pattern):
+    """Occurrences of a single pattern, in preorder of vertex."""
+    return [occ for _, _, occ in og.occurrences(ambient, [pattern])]
+
+
 @pytest.fixture(scope="module")
 def drules(dend, dend_up):
     return tuple(RewriteRule.from_polynomial(r, dend_up) for r in dend.relations)
@@ -53,22 +57,22 @@ def drules(dend, dend_up):
 def test_find_occurrences_examples(dend):
     prec, succ = dend.signature.symbols
     ambient = LL(prec, prec, succ)
-    occs = og.find_occurrences(ambient, L(prec, succ))
+    occs = find(ambient, L(prec, succ))
     assert [o.vertex for o in occs] == [(0,)]
     t = random_tree(random.Random(5), dend.signature.symbols, 4)
-    occs = og.find_occurrences(t, t)
+    occs = find(t, t)
     assert len(occs) == 1 and occs[0].vertex == ()
     assert all(b == LEAF for b in occs[0].bindings)
-    assert og.find_occurrences(R(succ, succ), L(succ, succ)) == []
+    assert find(R(succ, succ), L(succ, succ)) == []
     with pytest.raises(og.TreeError):
-        og.find_occurrences(t, LEAF)
+        find(t, LEAF)
 
 
 def test_occurrences_in_preorder(quad):
     a, b, c, d = quad.signature.symbols
     # two occurrences of the same pattern, one under each branch
     amb = og.node(a, og.node(b, og.node(c, LEAF, LEAF), LEAF), og.node(b, og.node(c, LEAF, LEAF), LEAF))
-    occs = og.find_occurrences(amb, og.node(b, og.node(c, LEAF, LEAF), LEAF))
+    occs = find(amb, og.node(b, og.node(c, LEAF, LEAF), LEAF))
     assert [o.vertex for o in occs] == [(0,), (1,)]
 
 
@@ -78,11 +82,27 @@ def test_occurrence_reassembly(seed, quad):
     syms = quad.signature.symbols
     ambient = random_tree(rng, syms, rng.randint(2, 6))
     pattern = random_tree(rng, syms, rng.randint(2, 3))
-    for occ in og.find_occurrences(ambient, pattern):
+    for occ in find(ambient, pattern):
         rebuilt = og.graft(pattern, occ.bindings)
         assert rebuilt == og.subtree_at(ambient, occ.vertex)
-        ctx = context_with_hole(ambient, occ, pattern.arity)
-        assert fill_hole(ctx, pattern) == ambient
+        assert replace_at(ambient, occ.vertex, rebuilt) == ambient
+
+
+@given(seed=st.integers(0, 10**9))
+def test_occurrences_match_brute_force(seed, quad):
+    # one walk yields exactly what matching every pattern at every
+    # vertex finds, in the same (vertex preorder, pattern index) order
+    rng = random.Random(seed)
+    syms = quad.signature.symbols
+    ambient = random_tree(rng, syms, rng.randint(1, 7))
+    patterns = [random_tree(rng, syms, rng.randint(2, 3)) for _ in range(rng.randint(1, 3))]
+    expected = [
+        (vertex, idx, occ)
+        for vertex in internal_vertices(ambient)
+        for idx, pattern in enumerate(patterns)
+        if (occ := match_at(ambient, vertex, pattern)) is not None
+    ]
+    assert list(og.occurrences(ambient, patterns)) == expected
 
 
 def test_apply_rule_at_root(dend, dend_up, drules):

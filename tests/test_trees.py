@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import operad_gsb as og
-from operad_gsb.trees import internal_vertices, replace_at
+from operad_gsb.trees import (
+    MAX_TREE_DEPTH,
+    TreeParseError,
+    internal_vertices,
+    path_words,
+    replace_at,
+)
 
 from conftest import random_tree
 
@@ -22,12 +28,12 @@ LEAF = og.LEAF
 def test_path_sequence_right_comb():
     # the worked example: a over b on the right branch
     t = og.node(A, LEAF, og.node(B, LEAF, LEAF))
-    assert og.path_sequence(t).words == (("a",), ("a", "b"), ("a", "b"))
+    assert path_words(t) == (("a",), ("a", "b"), ("a", "b"))
 
 
 def test_path_sequence_leaf_and_corolla():
-    assert og.path_sequence(LEAF).words == ((),)
-    assert og.path_sequence(og.node(A, LEAF, LEAF)).words == (("a",), ("a",))
+    assert path_words(LEAF) == ((),)
+    assert path_words(og.node(A, LEAF, LEAF)) == (("a",), ("a",))
 
 
 def test_symbol_validation():
@@ -113,6 +119,24 @@ def test_parse_errors_carry_position():
         og.parse_tree("", sig)
 
 
+def test_parse_depth_limit():
+    def comb(depth):
+        return "(a " * depth + "*" + " *)" * depth
+
+    deepest = og.parse_tree(comb(MAX_TREE_DEPTH), SIG4)
+    # the recursive helpers cope with the deepest tree the parser accepts
+    assert og.format_tree(deepest) == comb(MAX_TREE_DEPTH)
+    assert len(path_words(deepest)) == deepest.arity
+    assert og.graft(deepest, [LEAF] * deepest.arity) == deepest
+    bottom = (0,) * (MAX_TREE_DEPTH - 1)
+    assert replace_at(deepest, bottom, og.subtree_at(deepest, bottom)) == deepest
+    assert [v for v, _, _ in og.occurrences(deepest, [deepest])] == [()]
+    too_deep = comb(MAX_TREE_DEPTH + 1)
+    with pytest.raises(TreeParseError, match="deeper than") as info:
+        og.parse_tree(too_deep, SIG4)
+    assert info.value.position == 3 * MAX_TREE_DEPTH
+
+
 @given(st.integers(0, 10**9))
 def test_parse_format_roundtrip(seed):
     rng = random.Random(seed)
@@ -161,4 +185,4 @@ def test_path_sequence_injective(seed):
     s = random_tree(rng, SYM4, n)
     t = random_tree(rng, SYM4, n)
     if s != t:
-        assert og.path_sequence(s) != og.path_sequence(t)
+        assert path_words(s) != path_words(t)
