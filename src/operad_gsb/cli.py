@@ -102,6 +102,10 @@ def _read_source(args) -> tuple[str | None, str | None, str | None]:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(
+            f"cannot read {path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from exc
     return None, text, path.stem
 
 
@@ -133,13 +137,21 @@ def _config(args) -> CompletionConfig:
     )
 
 
+def _write_file(path: Path, text: str) -> None:
+    """Write ``text``, ending in a newline; an unwritable path is a usage error."""
+    try:
+        path.write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(text: str, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        out.write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+        _write_file(out, text)
 
 
 def _report_text(report: CompletionReport, ord: OperationOrder) -> str:
@@ -210,6 +222,8 @@ def _formula_for(pres: Presentation):
 
 
 def _cmd_count(args) -> int:
+    if args.n_max < 1:
+        raise UsageError(f"--n-max must be at least 1, got {args.n_max}")
     pres = _load_presentation(args)
     ord = _resolve_order(args, pres)
     basis, report = complete(pres.relations, ord, _config(args))
@@ -302,7 +316,7 @@ def _cmd_table1(args) -> int:
     text = "\n".join(lines)
     if args.out is not None:
         # text table to stdout, machine-readable JSON to the output path
-        args.out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        _write_file(args.out, json.dumps(doc, indent=2))
     sys.stdout.write(text + "\n")
     return 0
 

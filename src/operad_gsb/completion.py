@@ -9,6 +9,14 @@ forms (monic, deduplicated) and repeats, pairing only against the fresh
 elements from the second iteration on; the final basis is self-reduced
 once after the loop terminates.
 
+Self-reduction takes the steps of the plain loop "normal-form each rule
+modulo the others; on the first change, start again from the top", but
+decides "is this rule unchanged?" by a divisibility lookup: a polynomial
+equals its normal form exactly when none of its monomials contains
+another rule's lead.  Only the rules that a newly created lead divides
+are looked at again, and one lead-occurrence table, keyed by lead value
+so that it never goes stale, answers every redex lookup of the call.
+
 Enumeration is over ordered pairs: ``small_common_multiples(f, g)`` lists
 the multiples where ``f`` embeds at or inside the root occurrence of
 ``g``, so each geometric overlap is produced exactly once across the two
@@ -17,6 +25,7 @@ orientations of a pair.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -25,11 +34,12 @@ from .polynomials import TreePolynomial, format_polynomial
 from .rewriting import (
     DEFAULT_STEP_LIMIT,
     Occurrence,
+    OccurrenceTable,
     Reducer,
     RewriteRule,
     embed_polynomial_at,
     match_at,
-    normal_form,
+    normal_form,  # noqa: F401 - bench/tracing.py wraps completion.normal_form
 )
 from .trees import TreeError, TreeMonomial, format_tree, graft, internal_vertices, subtree_at
 
@@ -232,25 +242,65 @@ def self_reduce(
 
     On exit no rule's monomial (lead or tail) is divisible by another
     rule's lead.  Relative order of the survivors is preserved.
+
+    Each step takes the first rule, in list order, with a monomial that
+    contains another rule's lead, and replaces it by its monic normal form
+    modulo the others (dropping it if that is zero), until no such rule
+    is left.  That is
+    the plain loop "normal-form each rule in turn; on the first change,
+    start again from the top", step for step, without its repeated work:
+
+    * a polynomial equals its normal form exactly when none of its
+      monomials contains another rule's lead, so whether a rule is
+      unchanged is a divisibility lookup, not a reduction;
+    * a rule found normal stays normal until a new lead appears that one
+      of its monomials contains (removing a lead cannot make it
+      reducible), so only those rules are looked at again;
+    * one ``OccurrenceTable`` serves every step: it is keyed by lead
+      value, so rules being replaced or deleted never invalidate it, and
+      each reduction takes the first redex from it under the same pinned
+      strategy (first vertex in preorder, then first rule in list order).
     """
     out = list(rules)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(out)):
-            others = out[:i] + out[i + 1 :]
-            if not others:
-                continue
-            nf = normal_form(out[i].polynomial, others, ord, step_limit)
-            if nf == out[i].polynomial:
-                continue
-            if nf.is_zero:
-                del out[i]
-            else:
-                out[i] = RewriteRule.from_polynomial(nf, ord)
-            changed = True
-            break
-    return tuple(out)
+    table = OccurrenceTable()
+    live = Counter(r.lead for r in out)
+    for lead in live:
+        table.add_lead(lead)
+    # clean[i]: rule i is known to be normal modulo the other rules
+    clean = [False] * len(out)
+
+    def contains(rule: RewriteRule, lead: TreeMonomial) -> bool:
+        return any(lead in table.found(m) for m in (rule.lead, *rule.tail.terms))
+
+    def reducible(rule: RewriteRule) -> bool:
+        # the rule's own lead counts only when another rule shares it
+        return any(
+            live[lead] > (lead == rule.lead)
+            for m in (rule.lead, *rule.tail.terms)
+            for lead in table.found(m)
+        )
+
+    while True:
+        for i, rule in enumerate(out):
+            if not clean[i]:
+                if reducible(rule):
+                    break
+                clean[i] = True
+        else:
+            return tuple(out)
+        others = out[:i] + out[i + 1 :]
+        nf = Reducer(others, ord, step_limit, table).reduce(rule.polynomial)
+        live[rule.lead] -= 1
+        if nf.is_zero:
+            del out[i], clean[i]
+            continue
+        new = RewriteRule.from_polynomial(nf, ord)
+        out[i] = new
+        live[new.lead] += 1
+        table.add_lead(new.lead)
+        for j, other in enumerate(out):
+            if clean[j] and contains(other, new.lead):
+                clean[j] = False
 
 
 def _validate_input(relations: Sequence[TreePolynomial], ord: OperationOrder) -> None:

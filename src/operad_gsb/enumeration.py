@@ -17,7 +17,7 @@ from typing import Iterable
 from .completion import GSBasis
 from .polynomials import TreePolynomial
 from .presets import Presentation
-from .rewriting import is_normal_monomial
+from .rewriting import PatternIndex, is_normal_monomial
 from .trees import LEAF, Signature, TreeError, TreeMonomial, graft
 
 __all__ = [
@@ -112,7 +112,7 @@ def enumerate_normal(basis: GSBasis, n: int) -> list[TreeMonomial]:
     under the basis order."""
     sig = basis.order.signature
     _require_binary(sig)
-    leads = basis.leads
+    leads = PatternIndex(basis.leads)
     normal = [
         t for t in all_tree_monomials(sig, n) if is_normal_monomial(t, leads)
     ]

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .ordering import OperationOrder
 from .polynomials import TreePolynomial, add, scale
@@ -31,6 +31,8 @@ __all__ = [
     "Occurrence",
     "RewriteRule",
     "ReductionError",
+    "PatternIndex",
+    "OccurrenceTable",
     "occurrences",
     "match_at",
     "apply_rule_at",
@@ -75,9 +77,12 @@ def match_at(
 
 
 def _match(ambient: TreeMonomial, pattern: TreeMonomial) -> list[TreeMonomial] | None:
-    if pattern.is_leaf:
+    if pattern.label is None:
         return [ambient]
-    if ambient.is_leaf or ambient.label != pattern.label:
+    label = ambient.label
+    # symbols are shared objects almost always; the dataclass ``__eq__``
+    # builds two tuples, so test identity first
+    if label is None or (label is not pattern.label and label != pattern.label):
         return None
     bindings: list[TreeMonomial] = []
     for a_child, p_child in zip(ambient.children, pattern.children):
@@ -88,35 +93,70 @@ def _match(ambient: TreeMonomial, pattern: TreeMonomial) -> list[TreeMonomial] |
     return bindings
 
 
+class PatternIndex:
+    """Patterns grouped by root label, each group in list order.
+
+    ``occurrences`` tries at a vertex only the patterns whose root label
+    matches the vertex's.  Groups are keyed on the label's name: a ``str``
+    caches its hash, where the dataclass ``OperationSymbol`` builds a
+    tuple on every hash.  Patterns can be appended; indices never move.
+    """
+
+    __slots__ = ("patterns", "by_root")
+
+    def __init__(self, patterns: Iterable[TreeMonomial] = ()):
+        self.patterns: list[TreeMonomial] = []
+        self.by_root: dict[str, list[tuple[int, TreeMonomial]]] = {}
+        for pattern in patterns:
+            self.append(pattern)
+
+    def append(self, pattern: TreeMonomial) -> None:
+        """Add a pattern at the next index; a bare leaf is rejected, as it
+        would match everywhere."""
+        if pattern.label is None:
+            raise TreeError("leaf pattern would occur at every vertex")
+        group = self.by_root.setdefault(pattern.label.name, [])
+        group.append((len(self.patterns), pattern))
+        self.patterns.append(pattern)
+
+
 def occurrences(
-    ambient: TreeMonomial, patterns: Sequence[TreeMonomial]
+    ambient: TreeMonomial,
+    patterns: Sequence[TreeMonomial] | PatternIndex,
+    start: int = 0,
 ) -> Iterator[tuple[tuple[int, ...], int, Occurrence]]:
     """Yield ``(vertex, pattern index, occurrence)`` for every embedding.
 
     One preorder walk carries each vertex's subtree, so no match starts
-    from the root again.  Vertices come in preorder and, at each vertex,
-    patterns in list order: the first item is the pinned redex.  Every
+    from the root again, and a vertex tries only the patterns with its
+    root label.  Vertices come in preorder and, at each vertex, patterns
+    in list order: the first item is the pinned redex.  Patterns with an
+    index below ``start`` are skipped.  Callers that search many trees
+    for the same patterns pass a prebuilt ``PatternIndex``.  Every
     pattern needs an internal vertex; a bare leaf would match everywhere
     and is rejected.
     """
-    if any(p.is_leaf for p in patterns):
-        raise TreeError("leaf pattern would occur at every vertex")
-    if ambient.is_leaf:
+    index = patterns if isinstance(patterns, PatternIndex) else PatternIndex(patterns)
+    if ambient.label is None:
         return
+    by_root = index.by_root
     stack = [((), ambient)]
     while stack:
         vertex, sub = stack.pop()
-        for idx, pattern in enumerate(patterns):
-            bindings = _match(sub, pattern)
-            if bindings is not None:
-                yield vertex, idx, Occurrence(vertex, tuple(bindings))
+        for idx, pattern in by_root.get(sub.label.name, ()):
+            if idx >= start:
+                bindings = _match(sub, pattern)
+                if bindings is not None:
+                    yield vertex, idx, Occurrence(vertex, tuple(bindings))
         children = sub.children
         for i in range(len(children) - 1, -1, -1):
-            if not children[i].is_leaf:
+            if children[i].label is not None:
                 stack.append((vertex + (i,), children[i]))
 
 
-def is_normal_monomial(t: TreeMonomial, leads: Sequence[TreeMonomial]) -> bool:
+def is_normal_monomial(
+    t: TreeMonomial, leads: Sequence[TreeMonomial] | PatternIndex
+) -> bool:
     """True iff no lead occurs anywhere in ``t``."""
     return next(occurrences(t, leads), None) is None
 
@@ -181,6 +221,59 @@ def apply_rule_at(
     return add(p, scale(embed_polynomial_at(m, occ, rule.polynomial), -coeff))
 
 
+class OccurrenceTable:
+    """Per monomial, the first occurrence of every lead that occurs in it.
+
+    A table outlives the rule lists it serves: its entries are keyed by
+    lead value, not by rule index, so they never go stale when rules are
+    replaced or deleted; a lead registered later is looked for the next
+    time an entry is read.  Entries are filled lazily and are sparse:
+    ``[leads checked, {lead: first occurrence in preorder} or None]``.
+    """
+
+    def __init__(self) -> None:
+        self._leads = PatternIndex()
+        self._known: set[TreeMonomial] = set()
+        self._entries: dict[TreeMonomial, list] = {}
+
+    def add_lead(self, lead: TreeMonomial) -> None:
+        if lead not in self._known:
+            self._known.add(lead)
+            self._leads.append(lead)
+
+    def found(self, m: TreeMonomial) -> dict[TreeMonomial, Occurrence]:
+        """Every registered lead occurring in ``m``, with its first occurrence."""
+        entry = self._entries.get(m)
+        if entry is None:
+            entry = self._entries[m] = [0, None]
+        checked, found = entry
+        patterns = self._leads.patterns
+        if checked < len(patterns):
+            for _, idx, occ in occurrences(m, self._leads, checked):
+                if found is None:
+                    found = entry[1] = {}
+                found.setdefault(patterns[idx], occ)
+            entry[0] = len(patterns)
+        return found or {}
+
+    def first_redex(
+        self, m: TreeMonomial, rank: dict[TreeMonomial, int]
+    ) -> tuple | None:
+        """The pinned redex of ``m`` for a rule list whose first rule with
+        each lead is ``rank[lead]``; every such lead must be registered.
+
+        Paths compare lexicographically in preorder, so the smallest
+        ``(first vertex, rule index)`` is the first item ``occurrences``
+        would yield for that rule list.
+        """
+        best = None
+        for lead, occ in self.found(m).items():
+            idx = rank.get(lead)
+            if idx is not None and (best is None or (occ.vertex, idx) < best[:2]):
+                best = (occ.vertex, idx, occ)
+        return best
+
+
 class Reducer:
     """Normal-form computation against a fixed rule list.
 
@@ -188,6 +281,9 @@ class Reducer:
     strategy (first occurrence vertex in preorder, then first rule);
     completion reuses one reducer per iteration snapshot, so redex
     lookups are shared across all the S-polynomials of an iteration.
+    With a ``table``, cache misses are answered from that shared
+    occurrence table instead of a fresh search, for callers that reduce
+    against many short-lived rule lists over the same leads.
     """
 
     def __init__(
@@ -195,17 +291,27 @@ class Reducer:
         rules: Sequence[RewriteRule],
         ord: OperationOrder,
         step_limit: int = DEFAULT_STEP_LIMIT,
+        table: OccurrenceTable | None = None,
     ):
         self.rules = tuple(rules)
-        self._leads = tuple(r.lead for r in self.rules)
+        self._leads = PatternIndex(r.lead for r in self.rules)
         self.ord = ord
         self.step_limit = step_limit
         self._first_redex: dict[TreeMonomial, tuple | None] = {}
+        self._table = table
+        self._rank: dict[TreeMonomial, int] = {}
+        if table is not None:
+            for idx, lead in enumerate(self._leads.patterns):
+                table.add_lead(lead)
+                self._rank.setdefault(lead, idx)
 
     def first_redex(self, m: TreeMonomial) -> tuple | None:
         """Smallest (vertex, rule index, occurrence) triple in ``m``, if any."""
         if m not in self._first_redex:
-            self._first_redex[m] = next(occurrences(m, self._leads), None)
+            if self._table is None:
+                self._first_redex[m] = next(occurrences(m, self._leads), None)
+            else:
+                self._first_redex[m] = self._table.first_redex(m, self._rank)
         return self._first_redex[m]
 
     def all_redexes(self, m: TreeMonomial) -> list[tuple]:

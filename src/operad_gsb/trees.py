@@ -144,7 +144,7 @@ class TreeMonomial:
             return NotImplemented
         return (
             self._hash == other._hash
-            and self.label == other.label
+            and (self.label is other.label or self.label == other.label)
             and self.children == other.children
         )
 

@@ -8,9 +8,13 @@ rows, which we match exactly, carry different values), so no
 symmetry-respecting implementation can reproduce all four at once.
 """
 
+import hashlib
+import importlib.util
 import itertools
+import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -212,6 +216,31 @@ def test_criterion_4_sweep_is_bd_symmetric(sweep):
         ]
         assert report.status == conj.status
     _pass("4d", "all 24 rows pair up under b/d relabeling with equal counts")
+
+
+def _recorded_digests() -> dict:
+    """``DIGESTS`` of ``bench/reference.py``, the outputs of the seed commit."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.DIGESTS
+
+
+def test_criterion_4_sweep_bytes_match_recorded_digest(quad, sweep):
+    # every final basis of the sweep, byte for byte, as the benchmark's
+    # sweep workload serializes and hashes it
+    rows = [
+        json.dumps(
+            report.to_json_dict(og.OperationOrder.from_string(text, quad.signature)),
+            sort_keys=True,
+        )
+        for text, report in sweep.items()
+    ]
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == _recorded_digests()[("sweep", "full")]
+    _pass("4e", "all 24 reports, final bases included, match the recorded "
+               "SHA-256 byte for byte")
 
 
 def test_criterion_5_dimensions(dend_basis_up, dend_basis_down, quad_basis_cbda, quad_basis_cdba):

@@ -237,3 +237,37 @@ def test_step_limit_is_an_error_not_a_cap(capsys):
     )
     assert code == 1 and out == ""
     assert err == "error: reduction exceeded step limit of 1\n"
+
+
+def test_unwritable_out_is_an_error(capsys, tmp_path):
+    missing = tmp_path / "no-such-dir" / "out.txt"
+    commands = [
+        ("complete", "--preset", "dendriform", "--order", "prec<succ"),
+        ("reduce", "--preset", "dendriform", "--order", "prec<succ", "(prec * *)"),
+        ("table1", "--preset", "dendriform"),
+    ]
+    for argv in commands:
+        # a missing parent directory, then a directory in place of a file
+        for target in (missing, tmp_path):
+            code, out, err = run(capsys, *argv, "--out", str(target))
+            assert code == 1 and out == ""
+            assert err.startswith(f"error: cannot write {target}: ")
+            assert "Traceback" not in err
+
+
+def test_non_utf8_relations_is_an_error(capsys, tmp_path):
+    path = tmp_path / "latin1.rel"
+    path.write_bytes("ops: f g\nrel: (f * *) - (g * *)  # \xe9\n".encode("latin-1"))
+    code, out, err = run(capsys, "complete", "--relations", str(path), "--order", "f<g")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot read {path}: not UTF-8 text")
+
+
+def test_count_n_max_must_be_positive(capsys):
+    for bad in ("0", "-3"):
+        code, out, err = run(
+            capsys, "count", "--preset", "dendriform", "--order", "prec<succ",
+            "--n-max", bad,
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: --n-max must be at least 1, got {bad}\n"
