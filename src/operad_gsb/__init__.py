@@ -26,13 +26,12 @@ from .enumeration import (
     enumerate_normal,
     quadri_dim,
 )
-from .ordering import OperationOrder, compare_monomials, compare_words, leading_monomial_of_set
+from .ordering import OperationOrder, compare_monomials
 from .polynomials import TreePolynomial, format_polynomial, parse_polynomial
 from .presets import Presentation, dendriform, parse_presentation, quadri
 from .rewriting import (
     Occurrence,
     RewriteRule,
-    apply_rule_at,
     is_normal_monomial,
     normal_form,
     occurrences,
@@ -72,8 +71,6 @@ __all__ = [
     "quadri_dim",
     "OperationOrder",
     "compare_monomials",
-    "compare_words",
-    "leading_monomial_of_set",
     "TreePolynomial",
     "format_polynomial",
     "parse_polynomial",
@@ -83,7 +80,6 @@ __all__ = [
     "quadri",
     "Occurrence",
     "RewriteRule",
-    "apply_rule_at",
     "is_normal_monomial",
     "normal_form",
     "occurrences",

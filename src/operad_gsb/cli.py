@@ -13,6 +13,7 @@ without affecting the result.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
@@ -137,12 +138,36 @@ def _config(args) -> CompletionConfig:
     )
 
 
-def _write_file(path: Path, text: str) -> None:
-    """Write ``text``, ending in a newline; an unwritable path is a usage error."""
+@contextlib.contextmanager
+def _writing(path: Path):
+    """Report an OS error on ``path`` as a usage error."""
     try:
-        path.write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+        yield
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_file(path: Path, text: str) -> None:
+    """Write ``text``, ending in a newline; an unwritable path is a usage error."""
+    with _writing(path):
+        path.write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+
+
+def _probe_out(path: Path | None) -> None:
+    """Fail before any work is done if ``--out`` cannot be written.
+
+    Opening for append leaves an existing file as it is, and a file the
+    probe creates is removed again, so a command that fails later leaves
+    the path as it found it.
+    """
+    if path is None:
+        return
+    existed = os.path.lexists(path)
+    with _writing(path):
+        with open(path, "a", encoding="utf-8"):
+            pass
+        if not existed:
+            path.unlink()
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -333,6 +358,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _probe_out(args.out)
         return _COMMANDS[args.command](args)
     except (UsageError, TreeError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -37,7 +37,7 @@ from .rewriting import (
     OccurrenceTable,
     Reducer,
     RewriteRule,
-    embed_polynomial_at,
+    add_embedding,
     match_at,
     normal_form,  # noqa: F401 - bench/tracing.py wraps completion.normal_form
 )
@@ -228,9 +228,10 @@ def s_polynomial(
         raise TreeError("inconsistent small common multiple for f")
     if graft(g.lead, scm.occ_g.bindings) != scm.multiple:
         raise TreeError("inconsistent small common multiple for g")
-    emb_f = embed_polynomial_at(scm.multiple, scm.occ_f, f.polynomial)
-    emb_g = embed_polynomial_at(scm.multiple, scm.occ_g, g.polynomial)
-    return emb_f - emb_g
+    terms: dict = {}
+    add_embedding(terms, 1, f.polynomial, scm.multiple, scm.occ_f)
+    add_embedding(terms, -1, g.polynomial, scm.multiple, scm.occ_g)
+    return TreePolynomial(terms, scm.multiple.arity)
 
 
 def self_reduce(

@@ -14,15 +14,13 @@ because its first path word is longer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .trees import OperationSymbol, Signature, TreeError, TreeMonomial, path_words
 
 __all__ = [
     "OperationOrder",
-    "compare_words",
     "compare_monomials",
-    "leading_monomial_of_set",
 ]
 
 LT, EQ, GT = -1, 0, 1
@@ -97,30 +95,8 @@ class OperationOrder:
         return key
 
 
-def compare_words(
-    u: Sequence[OperationSymbol | str],
-    v: Sequence[OperationSymbol | str],
-    ord: OperationOrder,
-) -> int:
-    """Degree-lex comparison of label words; returns -1, 0 or 1."""
-    ku, kv = ord.word_key(u), ord.word_key(v)
-    return LT if ku < kv else GT if ku > kv else EQ
-
-
 def compare_monomials(s: TreeMonomial, t: TreeMonomial, ord: OperationOrder) -> int:
     """Path-lex comparison; EQ only for structurally identical monomials."""
     ks, kt = ord.monomial_key(s), ord.monomial_key(t)
     return LT if ks < kt else GT if ks > kt else EQ
 
-
-def leading_monomial_of_set(
-    monos: Iterable[TreeMonomial], ord: OperationOrder
-) -> TreeMonomial:
-    """The unique maximum of a nonempty set of equal-arity monomials."""
-    monos = list(monos)
-    if not monos:
-        raise TreeError("leading monomial of an empty set")
-    arities = {t.arity for t in monos}
-    if len(arities) > 1:
-        raise TreeError(f"mixed arities in monomial set: {sorted(arities)}")
-    return max(monos, key=ord.monomial_key)

@@ -34,8 +34,6 @@ __all__ = [
     "format_polynomial",
 ]
 
-Rational = Fraction
-
 
 class TreePolynomial:
     """A finite map from equal-arity tree monomials to nonzero rationals."""

@@ -2,18 +2,21 @@
 
 A rewrite rule is a monic polynomial oriented by its leading monomial:
 ``lead + tail`` with every tail monomial strictly smaller, read as the
-replacement ``lead -> -tail``.  Reducing a polynomial replaces an
-embedded copy of a lead with the embedded lower terms; because the order
-is compatible with grafting this strictly descends, so reduction
-terminates (a configurable step limit guards against bugs only).
+replacement ``lead -> -tail``.  A reduction step replaces an embedded
+copy of a lead with the embedded tail; because the order is compatible
+with grafting this strictly descends, so reduction terminates (a
+configurable step limit guards against bugs only).  The step and the
+S-polynomials of ``completion`` share one operation, ``add_embedding``:
+add a multiple of a polynomial, embedded at an occurrence, to a term map.
 
-Reduction is deterministic.  The redex used on a monomial is pinned
-(first occurrence vertex in preorder, then first rule in list order), so
-the normal form of a polynomial is the coefficient-weighted sum of its
-monomials' normal forms and does not depend on which reducible monomial
-is processed first; completion counts and traces reproduce bit-for-bit
-across runs.  Traced reductions additionally follow the
-greatest-monomial-first schedule step by step.
+Reduction is one loop of that step; its three schedules differ only in
+how they pick the next monomial.  The default pops a worklist, tracing
+takes the greatest reducible monomial, and a randomized run draws one.
+The redex used on a monomial is pinned (first occurrence vertex in
+preorder, then first rule in list order), so the normal form of a
+polynomial is the coefficient-weighted sum of its monomials' normal
+forms and does not depend on the pick; completion counts and traces
+reproduce bit-for-bit across runs.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .ordering import OperationOrder
-from .polynomials import TreePolynomial, add, scale
-from .trees import TreeError, TreeMonomial, graft, replace_at, subtree_at
+from .polynomials import TreePolynomial, add
+from .polynomials import scale  # noqa: F401 - bench/tracing.py wraps rewriting.scale
+from .trees import TreeError, TreeMonomial, format_tree, graft, replace_at, subtree_at
 
 __all__ = [
     "Occurrence",
@@ -35,7 +39,7 @@ __all__ = [
     "OccurrenceTable",
     "occurrences",
     "match_at",
-    "apply_rule_at",
+    "add_embedding",
     "normal_form",
     "is_normal_monomial",
     "Reducer",
@@ -45,7 +49,7 @@ DEFAULT_STEP_LIMIT = 10**6
 
 
 class ReductionError(TreeError):
-    """Stale occurrence, mis-oriented rule, or exceeded step limit."""
+    """Reduction exceeded its step limit (a mis-oriented rule set)."""
 
 
 @dataclass(frozen=True)
@@ -193,32 +197,31 @@ class RewriteRule:
         return self.lead.arity
 
 
-def embed_polynomial_at(
-    ambient: TreeMonomial, occ: Occurrence, p: TreePolynomial
-) -> TreePolynomial:
-    """Embed each monomial of ``p`` into ``ambient`` through an occurrence."""
-    terms: dict[TreeMonomial, Fraction] = {}
+def add_embedding(
+    terms: dict[TreeMonomial, Fraction],
+    factor: Fraction | int,
+    p: TreePolynomial,
+    ambient: TreeMonomial,
+    occ: Occurrence,
+) -> list[TreeMonomial]:
+    """Add ``factor`` times ``p``, embedded into ``ambient`` at ``occ``, to ``terms``.
+
+    Each monomial of ``p`` is grafted onto the occurrence's bindings and
+    substituted at its vertex.  A coefficient that cancels is deleted;
+    the images whose coefficient stays nonzero are returned, in the term
+    order of ``p``.  This is the one embedding behind both a reduction
+    step and an S-polynomial.
+    """
+    nonzero: list[TreeMonomial] = []
     for mono, coeff in p.terms.items():
         image = replace_at(ambient, occ.vertex, graft(mono, occ.bindings))
-        terms[image] = terms.get(image, 0) + coeff
-    return TreePolynomial(terms, ambient.arity)
-
-
-def apply_rule_at(
-    p: TreePolynomial, m: TreeMonomial, rule: RewriteRule, occ: Occurrence
-) -> TreePolynomial:
-    """One elementary reduction: eliminate ``m`` through ``rule`` at ``occ``.
-
-    Returns ``p - coeff(m) * (embedding of the rule's polynomial)``; the
-    embedded lead is ``m`` itself, so ``m`` drops out and only strictly
-    smaller monomials enter.
-    """
-    coeff = p.terms.get(m)
-    if coeff is None:
-        raise ReductionError("monomial is not in the polynomial's support")
-    if graft(rule.lead, occ.bindings) != subtree_at(m, occ.vertex):
-        raise ReductionError("stale occurrence: reassembly check failed")
-    return add(p, scale(embed_polynomial_at(m, occ, rule.polynomial), -coeff))
+        new = terms.get(image, 0) + factor * coeff
+        if new:
+            terms[image] = new
+            nonzero.append(image)
+        else:
+            terms.pop(image, None)
+    return nonzero
 
 
 class OccurrenceTable:
@@ -314,79 +317,51 @@ class Reducer:
                 self._first_redex[m] = self._table.first_redex(m, self._rank)
         return self._first_redex[m]
 
-    def all_redexes(self, m: TreeMonomial) -> list[tuple]:
-        return list(occurrences(m, self._leads))
-
-    def _reduce_inplace(self, p: TreePolynomial) -> TreePolynomial:
-        """Worklist reduction on a mutable term map.
-
-        The redex applied to a monomial depends only on the monomial, so
-        the final normal form is the same whatever order reducible
-        monomials are processed in; skipping the greatest-first scan
-        keeps a rewrite step at cost proportional to the rule tail.
-        """
-        terms = dict(p.terms)
-        queue = list(terms)
-        steps = 0
-        while queue:
-            m = queue.pop()
-            coeff = terms.get(m)
-            if not coeff:
-                continue
-            redex = self.first_redex(m)
-            if redex is None:
-                continue
-            _, idx, occ = redex
-            steps += 1
-            if steps > self.step_limit:
-                raise ReductionError(
-                    f"reduction exceeded step limit of {self.step_limit}"
-                )
-            del terms[m]
-            for t, c in self.rules[idx].tail.terms.items():
-                image = replace_at(m, occ.vertex, graft(t, occ.bindings))
-                new = terms.get(image, 0) - coeff * c
-                if new:
-                    terms[image] = new
-                    queue.append(image)
-                else:
-                    terms.pop(image, None)
-        return TreePolynomial(terms, p.arity)
-
     def reduce(
         self,
         p: TreePolynomial,
         rng: random.Random | None = None,
         trace: list | None = None,
     ) -> TreePolynomial:
-        """Fully reduce ``p``; with ``rng`` use a randomized strategy instead.
+        """Fully reduce ``p``: one loop of one step, three ways to pick.
 
-        Tracing forces the documented greatest-monomial-first schedule so
-        the emitted steps match the specification of the strategy; the
-        untraced deterministic path uses the order-insensitive worklist.
+        A step takes a reducible monomial ``m`` with coefficient ``c`` and
+        a redex of it, deletes ``m`` and adds ``-c`` times the rule's tail
+        embedded at the redex.  By default the next monomial is popped
+        from a worklist of the monomials a step created, with its pinned
+        redex; since that redex depends only on the monomial, the normal
+        form does not depend on the pop order.  Tracing picks the greatest
+        reducible monomial, the documented strategy that the emitted
+        ``(rule index, vertex)`` steps follow.  With ``rng``, the monomial
+        (among the reducible ones sorted by text) and then its redex
+        (among all of them, in preorder) are drawn at random.
         """
-        if rng is None and trace is None:
-            return self._reduce_inplace(p)
+        terms = dict(p.terms)
+        worklist = list(terms) if rng is None and trace is None else None
         key = self.ord.monomial_key
         steps = 0
         while True:
-            if rng is None:
-                chosen = None
-                for m in sorted(p.terms, key=key, reverse=True):
+            m = redex = None
+            if worklist is not None:
+                while worklist and redex is None:
+                    m = worklist.pop()
+                    if m in terms:
+                        redex = self.first_redex(m)
+            elif rng is None:
+                for m in sorted(terms, key=key, reverse=True):
                     redex = self.first_redex(m)
                     if redex is not None:
-                        chosen = (m, *redex)
                         break
             else:
-                reducible = [m for m in p.support() if self.first_redex(m)]
+                reducible = [
+                    m for m in sorted(terms, key=format_tree) if self.first_redex(m)
+                ]
                 if reducible:
                     m = rng.choice(reducible)
-                    chosen = (m, *rng.choice(self.all_redexes(m)))
-                else:
-                    chosen = None
-            if chosen is None:
-                return p
-            m, vertex, idx, occ = chosen
+                    redex = rng.choice(list(occurrences(m, self._leads)))
+            if redex is None:
+                return TreePolynomial(terms, p.arity)
+            vertex, idx, occ = redex
             steps += 1
             if steps > self.step_limit:
                 raise ReductionError(
@@ -394,7 +369,9 @@ class Reducer:
                 )
             if trace is not None:
                 trace.append((idx, vertex))
-            p = apply_rule_at(p, m, self.rules[idx], occ)
+            created = add_embedding(terms, -terms.pop(m), self.rules[idx].tail, m, occ)
+            if worklist is not None:
+                worklist.extend(created)
 
 
 def normal_form(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,15 @@ def random_polynomial(rng: random.Random, symbols, arity: int, max_terms: int = 
         coeff = rng.choice([-2, -1, 1, 2])
         terms[random_tree(rng, symbols, arity)] = coeff
     return og.TreePolynomial(terms, arity)
+
+
+def load_bench_module(name: str):
+    """Load ``bench/<name>.py`` by path; ``bench`` is not a package."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

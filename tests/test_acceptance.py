@@ -9,19 +9,17 @@ symmetry-respecting implementation can reproduce all four at once.
 """
 
 import hashlib
-import importlib.util
 import itertools
 import json
 import random
 import time
-from pathlib import Path
 
 import pytest
 
 import operad_gsb as og
 from operad_gsb.rewriting import Reducer
 
-from conftest import random_polynomial, random_tree
+from conftest import load_bench_module, random_polynomial, random_tree
 
 LEAF = og.LEAF
 
@@ -220,11 +218,7 @@ def test_criterion_4_sweep_is_bd_symmetric(sweep):
 
 def _recorded_digests() -> dict:
     """``DIGESTS`` of ``bench/reference.py``, the outputs of the seed commit."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "reference.py"
-    spec = importlib.util.spec_from_file_location("bench_reference", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.DIGESTS
+    return load_bench_module("reference").DIGESTS
 
 
 def test_criterion_4_sweep_bytes_match_recorded_digest(quad, sweep):

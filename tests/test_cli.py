@@ -1,8 +1,11 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 from pathlib import Path
+
+import pytest
 
 from operad_gsb import cli
 from operad_gsb.cli import main
@@ -94,6 +97,28 @@ def test_reduce_trace(capsys):
     doc = json.loads(out)
     assert doc["normal_form"] == "(prec * (succ * *)) + (prec * (prec * *))"
     assert doc["trace"] == [[1, []]]
+
+
+@pytest.mark.parametrize(
+    "preset, order, text, steps, digest",
+    [
+        # an iteration-capped, non-confluent basis
+        ("quadri", "a<b<d<c", "(c (c (c (a * *) *) *) (b (d * *) *))", 37,
+         "8dec90099e603170161905c96cb70af3f7faa3c2ea627466bbe5fd2f897a4c43"),
+        ("dendriform", "succ<prec", "(prec (prec (prec (succ * *) *) *) (succ * *))", 7,
+         "401a60a31a75c9d47d5474d67662a6218c6a393a5433d6995fd0cc5935c65c2a"),
+    ],
+    ids=["quadri", "dendriform"],
+)
+def test_reduce_trace_pinned(capsys, preset, order, text, steps, digest):
+    # multi-step reduction traces, pinned byte for byte
+    code, out, _ = run(
+        capsys, "reduce", "--preset", preset, "--order", order, text,
+        "--trace", "--format", "json",
+    )
+    assert code == 0
+    assert len(json.loads(out)["trace"]) == steps
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_count_dendriform(capsys):
@@ -239,11 +264,16 @@ def test_step_limit_is_an_error_not_a_cap(capsys):
     assert err == "error: reduction exceeded step limit of 1\n"
 
 
-def test_unwritable_out_is_an_error(capsys, tmp_path):
+def test_unwritable_out_is_an_error(capsys, tmp_path, monkeypatch):
+    def no_completion(*args, **kwargs):
+        pytest.fail("completion ran before --out was checked")
+
+    monkeypatch.setattr(cli, "complete", no_completion)
     missing = tmp_path / "no-such-dir" / "out.txt"
     commands = [
         ("complete", "--preset", "dendriform", "--order", "prec<succ"),
         ("reduce", "--preset", "dendriform", "--order", "prec<succ", "(prec * *)"),
+        ("count", "--preset", "dendriform", "--order", "prec<succ"),
         ("table1", "--preset", "dendriform"),
     ]
     for argv in commands:
@@ -253,6 +283,20 @@ def test_unwritable_out_is_an_error(capsys, tmp_path):
             assert code == 1 and out == ""
             assert err.startswith(f"error: cannot write {target}: ")
             assert "Traceback" not in err
+
+
+def test_out_untouched_when_command_fails(capsys, tmp_path):
+    existing = tmp_path / "kept.txt"
+    existing.write_text("earlier result\n", encoding="utf-8")
+    fresh = tmp_path / "fresh.txt"
+    for target in (existing, fresh):
+        code, out, err = run(
+            capsys, "reduce", "--preset", "dendriform", "--order", "prec<succ",
+            "(prec * ", "--out", str(target),
+        )
+        assert code == 1 and err.startswith("error: ")
+    assert existing.read_text(encoding="utf-8") == "earlier result\n"
+    assert not fresh.exists()
 
 
 def test_non_utf8_relations_is_an_error(capsys, tmp_path):

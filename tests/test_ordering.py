@@ -1,4 +1,4 @@
-"""Path-lexicographic order: word comparison, monomial comparison, maxima."""
+"""Path-lexicographic order: word keys, monomial comparison, maxima."""
 
 import random
 
@@ -30,13 +30,16 @@ def dorder(dend):
 
 
 def test_compare_words(dend, dorder):
+    key = dorder.word_key
     # degree first: the longer word wins
-    assert og.compare_words(["succ", "succ"], ["succ"], dorder) == GT
+    assert key(["succ", "succ"]) > key(["succ"])
     # equal length: left-to-right by symbol rank
-    assert og.compare_words(["succ", "prec"], ["succ", "succ"], dorder) == LT
-    assert og.compare_words(["prec"], ["prec"], dorder) == EQ
+    assert key(["succ", "prec"]) < key(["succ", "succ"])
+    assert key(["prec"]) == key(["prec"])
+    prec, succ = dend.signature.symbols
+    assert key([succ, prec]) == key(["succ", "prec"])
     with pytest.raises(og.TreeError):
-        og.compare_words(["mul"], ["prec"], dorder)
+        key(["mul"])
 
 
 def test_compare_monomials_known_leads(dend, dorder):
@@ -53,14 +56,19 @@ def test_compare_monomials_known_leads(dend, dorder):
 
 def test_leading_monomial_of_set():
     o = og.OperationOrder.from_string("c<b<d<a", SIG4)
-    assert og.leading_monomial_of_set({L(B, B), L(B, C), R(B, B), R(B, A)}, o) == L(B, B)
-    assert og.leading_monomial_of_set({L(A, A), L(A, B), L(A, C), L(A, D), R(A, A)}, o) == L(A, A)
+
+    def lead(monos):
+        return og.TreePolynomial(dict.fromkeys(monos, 1)).leading_monomial(o)
+
+    # the quadri leads under c<b<d<a
+    assert lead([L(B, B), L(B, C), R(B, B), R(B, A)]) == L(B, B)
+    assert lead([L(A, A), L(A, B), L(A, C), L(A, D), R(A, A)]) == L(A, A)
     t = L(C, C)
-    assert og.leading_monomial_of_set({t}, o) == t
+    assert lead([t]) == t
     with pytest.raises(og.TreeError):
-        og.leading_monomial_of_set(set(), o)
+        og.TreePolynomial.zero(3).leading_monomial(o)
     with pytest.raises(og.TreeError):
-        og.leading_monomial_of_set({t, LEAF}, o)
+        og.TreePolynomial({t: 1, LEAF: 1})
 
 
 def test_order_string_validation():

@@ -1,4 +1,4 @@
-"""Occurrence search, elementary reductions, normal forms."""
+"""Occurrence search, the embedding step, S-polynomials, normal forms."""
 
 import random
 
@@ -11,6 +11,7 @@ from operad_gsb.rewriting import (
     ReductionError,
     Reducer,
     RewriteRule,
+    add_embedding,
     match_at,
 )
 from operad_gsb.trees import internal_vertices, replace_at
@@ -105,13 +106,26 @@ def test_occurrences_match_brute_force(seed, quad):
     assert list(og.occurrences(ambient, patterns)) == expected
 
 
+def step(p, m, rule, occ):
+    """One reduction step as ``Reducer.reduce`` takes it: delete ``m`` and
+    add ``-coeff(m)`` times the rule's tail embedded at ``occ``."""
+    terms = dict(p.terms)
+    created = add_embedding(terms, -terms.pop(m), rule.tail, m, occ)
+    return og.TreePolynomial(terms, p.arity), created
+
+
 def test_apply_rule_at_root(dend, dend_up, drules):
     prec, succ = dend.signature.symbols
     d1 = drules[0]
     p = og.TreePolynomial.monomial(L(prec, succ))
     occ = match_at(L(prec, succ), (), d1.lead)
-    got = og.apply_rule_at(p, L(prec, succ), d1, occ)
+    got, created = step(p, L(prec, succ), d1, occ)
     assert got == og.TreePolynomial.monomial(R(succ, prec))
+    assert created == [R(succ, prec)]
+    # embedding the whole rule instead cancels the lead's image itself
+    terms = dict(p.terms)
+    assert add_embedding(terms, -1, d1.polynomial, L(prec, succ), occ) == [R(succ, prec)]
+    assert og.TreePolynomial(terms, p.arity) == got
 
 
 def test_apply_rule_first_chain_step(dend, dend_up, drules):
@@ -123,20 +137,39 @@ def test_apply_rule_first_chain_step(dend, dend_up, drules):
     m = LR(prec, succ, prec)
     occ = match_at(m, (), drules[0].lead)
     assert occ is not None
-    got = og.apply_rule_at(p, m, drules[0], occ)
+    got, _ = step(p, m, drules[0], occ)
     assert got == og.TreePolynomial(
         {RL(succ, prec, prec): -1, corolla(prec, succ, prec): 1, corolla(prec, succ, succ): 1}
     )
 
 
-def test_apply_rule_errors(dend, dend_up, drules):
-    prec, succ = dend.signature.symbols
-    p = og.TreePolynomial.monomial(R(succ, prec))
-    occ = match_at(L(prec, succ), (), drules[0].lead)
-    with pytest.raises(ReductionError):
-        og.apply_rule_at(p, L(prec, succ), drules[0], occ)  # not in support
-    with pytest.raises(ReductionError):
-        og.apply_rule_at(p, R(succ, prec), drules[0], occ)  # stale occurrence
+def embed(ambient, occ, p):
+    """Oracle: every monomial of ``p`` embedded into ``ambient`` at ``occ``."""
+    return og.TreePolynomial(
+        {replace_at(ambient, occ.vertex, og.graft(m, occ.bindings)): c for m, c in p.terms.items()},
+        ambient.arity,
+    )
+
+
+@given(seed=st.integers(0, 10**9))
+@settings(max_examples=60)
+def test_s_polynomial_is_difference_of_embeddings(seed, quad):
+    rng = random.Random(seed)
+    order = og.OperationOrder(tuple(rng.sample(quad.signature.symbols, 4)))
+    f, g = (
+        RewriteRule.from_polynomial(
+            random_polynomial(rng, order.ranked, rng.randint(3, 4)), order
+        )
+        for _ in range(2)
+    )
+    for outer, inner in ((g, f), (f, g), (f, f)):
+        for scm in small_common_multiples(inner.lead, outer.lead):
+            expected = embed(scm.multiple, scm.occ_f, inner.polynomial) - embed(
+                scm.multiple, scm.occ_g, outer.polynomial
+            )
+            got = s_polynomial(inner, outer, scm)
+            assert got == expected
+            assert scm.multiple not in got.terms
 
 
 def test_normal_form_examples(dend, dend_up, dend_down, drules):
@@ -184,10 +217,11 @@ def test_strict_descent(seed, dend, dend_up, drules):
         if redex is None:
             break
         m, vertex, idx, occ = redex
-        q = og.apply_rule_at(p, m, drules[idx], occ)
-        # the rewritten monomial disappears; nothing >= it enters
+        q, created = step(p, m, drules[idx], occ)
+        # the rewritten monomial disappears; nothing >= it enters or changes
         assert m not in q.terms
-        for new in set(q.terms) - set(p.terms):
+        assert set(q.terms) - set(p.terms) <= set(created)
+        for new in created:
             assert key(new) < key(m)
         p = q
 
