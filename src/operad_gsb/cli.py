@@ -39,7 +39,7 @@ from .enumeration import (
 )
 from .ordering import OperationOrder
 from .polynomials import format_polynomial, parse_polynomial
-from .presets import Presentation, dendriform, parse_presentation, quadri
+from .presets import PRESETS, Presentation, parse_presentation
 from .rewriting import RewriteRule, normal_form
 from .trees import TreeError
 
@@ -61,7 +61,7 @@ def _build_parser() -> _Parser:
 
     def add_common(p: _Parser, need_order: bool = True) -> None:
         src = p.add_mutually_exclusive_group(required=True)
-        src.add_argument("--preset", choices=["dendriform", "quadri"])
+        src.add_argument("--preset", choices=list(PRESETS))
         src.add_argument("--relations", type=Path, metavar="PATH")
         if need_order:
             p.add_argument("--order", help='e.g. "prec<succ" or "c<b<d<a"')
@@ -90,15 +90,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_source(args) -> tuple[str | None, str | None, str | None]:
-    """``(preset, relation-file text, name)`` for ``--preset``/``--relations``.
+def _read_source(args) -> tuple[str, str]:
+    """``(relation text, name)`` for ``--preset`` or ``--relations``.
 
-    The tuple is picklable, so sweep workers rebuild the presentation
-    from it without reading the file again.
+    A preset is its built-in relation text, so both sources go through
+    ``parse_presentation``.  The pair is picklable: sweep workers parse
+    the presentation from it without reading the file again.
     """
     path: Path | None = args.relations
     if path is None:
-        return args.preset, None, args.preset
+        return PRESETS[args.preset], args.preset
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -107,19 +108,11 @@ def _read_source(args) -> tuple[str | None, str | None, str | None]:
         raise UsageError(
             f"cannot read {path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
         ) from exc
-    return None, text, path.stem
-
-
-def _presentation(preset: str | None, text: str | None, name: str | None) -> Presentation:
-    if preset == "dendriform":
-        return dendriform()
-    if preset == "quadri":
-        return quadri()
-    return parse_presentation(text, name=name)
+    return text, path.stem
 
 
 def _load_presentation(args) -> Presentation:
-    return _presentation(*_read_source(args))
+    return parse_presentation(*_read_source(args))
 
 
 def _resolve_order(args, pres: Presentation) -> OperationOrder:
@@ -283,7 +276,7 @@ def _sweep_orders(pres: Presentation) -> list[str]:
 
 def _sweep_one(payload: tuple) -> dict:
     source, order_text, caps = payload
-    pres = _presentation(*source)
+    pres = parse_presentation(*source)
     ord = OperationOrder.from_string(order_text, pres.signature)
     _, report = complete(pres.relations, ord, CompletionConfig(*caps))
     return report.to_json_dict(ord)
@@ -306,7 +299,7 @@ def _gsb_marker(row: dict) -> str:
 def _cmd_table1(args) -> int:
     threads = _worker_count()
     source = _read_source(args)
-    pres = _presentation(*source)
+    pres = parse_presentation(*source)
     if not pres.signature.is_binary:
         raise UsageError("order sweep needs a binary presentation")
     orders = _sweep_orders(pres)

@@ -13,9 +13,10 @@ Self-reduction takes the steps of the plain loop "normal-form each rule
 modulo the others; on the first change, start again from the top", but
 decides "is this rule unchanged?" by a divisibility lookup: a polynomial
 equals its normal form exactly when none of its monomials contains
-another rule's lead.  Only the rules that a newly created lead divides
-are looked at again, and one lead-occurrence table, keyed by lead value
-so that it never goes stale, answers every redex lookup of the call.
+another rule's lead.  One forward scan replaces the restarts: it steps
+back only to an earlier rule that a newly created lead divides, and one
+lead-occurrence table, keyed by lead value so that it never goes stale,
+answers every redex lookup of the call.
 
 Enumeration is over ordered pairs: ``small_common_multiples(f, g)`` lists
 the multiples where ``f`` embeds at or inside the root occurrence of
@@ -223,14 +224,18 @@ def small_common_multiples(
 def s_polynomial(
     f: RewriteRule, g: RewriteRule, scm: SmallCommonMultiple
 ) -> TreePolynomial:
-    """Difference of the two rule embeddings into the common multiple."""
+    """Difference of the two rule embeddings into the common multiple.
+
+    The checks below make both leads embed as the multiple itself, where
+    they cancel, so only the two tails are embedded.
+    """
     if graft(f.lead, scm.occ_f.bindings) != subtree_at(scm.multiple, scm.occ_f.vertex):
         raise TreeError("inconsistent small common multiple for f")
     if graft(g.lead, scm.occ_g.bindings) != scm.multiple:
         raise TreeError("inconsistent small common multiple for g")
     terms: dict = {}
-    add_embedding(terms, 1, f.polynomial, scm.multiple, scm.occ_f)
-    add_embedding(terms, -1, g.polynomial, scm.multiple, scm.occ_g)
+    add_embedding(terms, 1, f.tail, scm.multiple, scm.occ_f)
+    add_embedding(terms, -1, g.tail, scm.multiple, scm.occ_g)
     return TreePolynomial(terms, scm.multiple.arity)
 
 
@@ -254,9 +259,11 @@ def self_reduce(
     * a polynomial equals its normal form exactly when none of its
       monomials contains another rule's lead, so whether a rule is
       unchanged is a divisibility lookup, not a reduction;
-    * a rule found normal stays normal until a new lead appears that one
-      of its monomials contains (removing a lead cannot make it
-      reducible), so only those rules are looked at again;
+    * one forward scan takes the restarts' steps: every rule before the
+      scan position is normal, removing a lead cannot make a rule
+      reducible, and a new lead makes reducible exactly the rules that
+      contain it, so after a replacement the scan resumes at the first
+      earlier rule that became reducible, if any, and otherwise in place;
     * one ``OccurrenceTable`` serves every step: it is keyed by lead
       value, so rules being replaced or deleted never invalidate it, and
       each reduction takes the first redex from it under the same pinned
@@ -267,11 +274,6 @@ def self_reduce(
     live = Counter(r.lead for r in out)
     for lead in live:
         table.add_lead(lead)
-    # clean[i]: rule i is known to be normal modulo the other rules
-    clean = [False] * len(out)
-
-    def contains(rule: RewriteRule, lead: TreeMonomial) -> bool:
-        return any(lead in table.found(m) for m in (rule.lead, *rule.tail.terms))
 
     def reducible(rule: RewriteRule) -> bool:
         # the rule's own lead counts only when another rule shares it
@@ -281,27 +283,24 @@ def self_reduce(
             for lead in table.found(m)
         )
 
-    while True:
-        for i, rule in enumerate(out):
-            if not clean[i]:
-                if reducible(rule):
-                    break
-                clean[i] = True
-        else:
-            return tuple(out)
+    i = 0
+    while i < len(out):
+        rule = out[i]
+        if not reducible(rule):
+            i += 1
+            continue
         others = out[:i] + out[i + 1 :]
         nf = Reducer(others, ord, step_limit, table).reduce(rule.polynomial)
         live[rule.lead] -= 1
         if nf.is_zero:
-            del out[i], clean[i]
+            del out[i]
             continue
         new = RewriteRule.from_polynomial(nf, ord)
         out[i] = new
         live[new.lead] += 1
         table.add_lead(new.lead)
-        for j, other in enumerate(out):
-            if clean[j] and contains(other, new.lead):
-                clean[j] = False
+        i = next((j for j in range(i) if reducible(out[j])), i)
+    return tuple(out)
 
 
 def _validate_input(relations: Sequence[TreePolynomial], ord: OperationOrder) -> None:

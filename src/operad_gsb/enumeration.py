@@ -107,11 +107,21 @@ def _require_binary(sig: Signature) -> None:
         raise TreeError("normal-form enumeration supports binary signatures only")
 
 
+def _guard(sig: Signature, n: int, what: str) -> int:
+    """The number of arity-``n`` monomials, refused above ``ORACLE_GUARD``."""
+    total = count_tree_monomials(sig, n)
+    if total > ORACLE_GUARD:
+        raise TreeError(f"{what} guard exceeded: {total} monomials at arity {n}")
+    return total
+
+
 def enumerate_normal(basis: GSBasis, n: int) -> list[TreeMonomial]:
     """All arity-``n`` monomials containing no basis lead, sorted ascending
-    under the basis order."""
+    under the basis order.  Like the rank oracle, it refuses to list more
+    than ``ORACLE_GUARD`` monomials."""
     sig = basis.order.signature
     _require_binary(sig)
+    _guard(sig, n, "enumeration")
     leads = PatternIndex(basis.leads)
     normal = [
         t for t in all_tree_monomials(sig, n) if is_normal_monomial(t, leads)
@@ -182,11 +192,7 @@ def dimension_by_linear_algebra(pres: Presentation, n: int) -> int:
     elimination on the embedded relation vectors.
     """
     sig = pres.signature
-    total_monomials = count_tree_monomials(sig, n)
-    if total_monomials > ORACLE_GUARD:
-        raise TreeError(
-            f"oracle guard exceeded: {total_monomials} monomials at arity {n}"
-        )
+    total_monomials = _guard(sig, n, "oracle")
     index = {t: i for i, t in enumerate(all_tree_monomials(sig, n))}
     rows: list[dict[int, int]] = []
     for rel in pres.relations:

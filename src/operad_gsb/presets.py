@@ -1,5 +1,9 @@
 """Built-in presentations and the relation-file parser.
 
+Every presentation is parsed from relation text by ``parse_presentation``.
+``PRESETS`` maps each built-in name to its text: the ``docs/*.rel`` file
+without its ``order:`` line, so a preset carries no preferred order.
+
 The dendriform presentation has two binary operations ``prec`` and
 ``succ``; its three relations say that the left action is associative
 over the sum of both products, the right action over itself, and the two
@@ -7,13 +11,15 @@ actions commute.  The quadri presentation has four binary operations
 ``a``, ``b``, ``c``, ``d`` (south-east, north-east, north-west,
 south-west) with the nine compatibility relations tying them to the two
 dendriform structures ``prec = c + d``, ``succ = a + b`` and
-``wedge = b + c``, ``vee = a + d``.
+``wedge = b + c``, ``vee = a + d``; ``*`` in a comment is the sum of all
+four.
 
-Relation-file grammar (UTF-8, line oriented, ``#`` comments)::
+Relation-file grammar (UTF-8, line oriented, ``#`` starts a comment line;
+``order:`` is optional and ``--order`` overrides it)::
 
     ops: <name>[/<arity>] ...
-    order: <name> < <name> < ...      # optional; the CLI may override
-    rel: <polynomial text>            # repeatable
+    order: <name> < <name> < ...
+    rel: <polynomial text>            (one line per relation)
 """
 
 from __future__ import annotations
@@ -22,18 +28,12 @@ from dataclasses import dataclass
 
 from .ordering import OperationOrder
 from .polynomials import TreePolynomial, parse_polynomial
-from .trees import (
-    LEAF,
-    OperationSymbol,
-    Signature,
-    TreeError,
-    TreeMonomial,
-    node,
-)
+from .trees import OperationSymbol, Signature, TreeError
 
 __all__ = [
     "Presentation",
     "PresentationError",
+    "PRESETS",
     "dendriform",
     "quadri",
     "parse_presentation",
@@ -63,82 +63,51 @@ class Presentation:
                 )
 
 
-def left_comb(x: OperationSymbol, y: OperationSymbol) -> TreeMonomial:
-    """(u y v) x w: root ``x`` whose left child is a ``y`` vertex."""
-    return node(x, node(y, LEAF, LEAF), LEAF)
+DENDRIFORM = """\
+ops: prec succ
+# (x succ y) prec z = x succ (y prec z)
+rel: (prec (succ * *) *) - (succ * (prec * *))
+# (x prec y) prec z = x prec (y prec z) + x prec (y succ z)
+rel: (prec (prec * *) *) - (prec * (prec * *)) - (prec * (succ * *))
+# x succ (y succ z) = (x prec y) succ z + (x succ y) succ z
+rel: (succ * (succ * *)) - (succ (succ * *) *) - (succ (prec * *) *)
+"""
 
+QUADRI = """\
+# a, b, c, d: south-east, north-east, north-west, south-west
+ops: a b c d
+# (x c y) c z = x c (y * z)
+rel: (c (c * *) *) - (c * (a * *)) - (c * (b * *)) - (c * (c * *)) - (c * (d * *))
+# (x d y) c z = x d (y wedge z)
+rel: (c (d * *) *) - (d * (b * *)) - (d * (c * *))
+# (x prec y) d z = x d (y vee z)
+rel: (d (d * *) *) + (d (c * *) *) - (d * (a * *)) - (d * (d * *))
+# (x b y) c z = x b (y prec z)
+rel: (c (b * *) *) - (b * (c * *)) - (b * (d * *))
+# (x a y) c z = x a (y c z)
+rel: (c (a * *) *) - (a * (c * *))
+# (x succ y) d z = x a (y d z)
+rel: (d (a * *) *) + (d (b * *) *) - (a * (d * *))
+# (x wedge y) b z = x b (y succ z)
+rel: (b (b * *) *) + (b (c * *) *) - (b * (b * *)) - (b * (a * *))
+# (x vee y) b z = x a (y b z)
+rel: (b (a * *) *) + (b (d * *) *) - (a * (b * *))
+# (x * y) a z = x a (y a z)
+rel: (a (a * *) *) + (a (b * *) *) + (a (c * *) *) + (a (d * *) *) - (a * (a * *))
+"""
 
-def right_comb(x: OperationSymbol, y: OperationSymbol) -> TreeMonomial:
-    """u x (v y w): root ``x`` whose right child is a ``y`` vertex."""
-    return node(x, LEAF, node(y, LEAF, LEAF))
-
-
-def _combination(*signed: tuple[int, TreeMonomial]) -> TreePolynomial:
-    terms: dict[TreeMonomial, int] = {}
-    for coeff, mono in signed:
-        terms[mono] = terms.get(mono, 0) + coeff
-    return TreePolynomial(terms)
+# preset name -> relation text; the CLI's ``--preset`` choices
+PRESETS = {"dendriform": DENDRIFORM, "quadri": QUADRI}
 
 
 def dendriform() -> Presentation:
     """Two operations, three arity-3 relations."""
-    prec = OperationSymbol("prec")
-    succ = OperationSymbol("succ")
-    relations = (
-        # (x succ y) prec z = x succ (y prec z)
-        _combination((1, left_comb(prec, succ)), (-1, right_comb(succ, prec))),
-        # (x prec y) prec z = x prec (y prec z) + x prec (y succ z)
-        _combination(
-            (1, left_comb(prec, prec)),
-            (-1, right_comb(prec, prec)),
-            (-1, right_comb(prec, succ)),
-        ),
-        # x succ (y succ z) = (x prec y) succ z + (x succ y) succ z
-        _combination(
-            (1, right_comb(succ, succ)),
-            (-1, left_comb(succ, succ)),
-            (-1, left_comb(succ, prec)),
-        ),
-    )
-    return Presentation(Signature((prec, succ)), relations, "dendriform")
+    return parse_presentation(DENDRIFORM, "dendriform")
 
 
 def quadri() -> Presentation:
     """Four operations, nine arity-3 relations."""
-    a = OperationSymbol("a")  # south-east
-    b = OperationSymbol("b")  # north-east
-    c = OperationSymbol("c")  # north-west
-    d = OperationSymbol("d")  # south-west
-    L, R = left_comb, right_comb
-    relations = (
-        # (x c y) c z = x c (y * z)
-        _combination(
-            (1, L(c, c)), (-1, R(c, a)), (-1, R(c, b)), (-1, R(c, c)), (-1, R(c, d))
-        ),
-        # (x d y) c z = x d (y wedge z)
-        _combination((1, L(c, d)), (-1, R(d, b)), (-1, R(d, c))),
-        # (x prec y) d z = x d (y vee z)
-        _combination(
-            (1, L(d, d)), (1, L(d, c)), (-1, R(d, a)), (-1, R(d, d))
-        ),
-        # (x b y) c z = x b (y prec z)
-        _combination((1, L(c, b)), (-1, R(b, c)), (-1, R(b, d))),
-        # (x a y) c z = x a (y c z)
-        _combination((1, L(c, a)), (-1, R(a, c))),
-        # (x succ y) d z = x a (y d z)
-        _combination((1, L(d, a)), (1, L(d, b)), (-1, R(a, d))),
-        # (x wedge y) b z = x b (y succ z)
-        _combination(
-            (1, L(b, b)), (1, L(b, c)), (-1, R(b, b)), (-1, R(b, a))
-        ),
-        # (x vee y) b z = x a (y b z)
-        _combination((1, L(b, a)), (1, L(b, d)), (-1, R(a, b))),
-        # (x * y) a z = x a (y a z)
-        _combination(
-            (1, L(a, a)), (1, L(a, b)), (1, L(a, c)), (1, L(a, d)), (-1, R(a, a))
-        ),
-    )
-    return Presentation(Signature((a, b, c, d)), relations, "quadri")
+    return parse_presentation(QUADRI, "quadri")
 
 
 def parse_presentation(text: str, name: str = "user") -> Presentation:

@@ -91,20 +91,29 @@ class Signature:
         return all(s.arity == 2 for s in self.symbols)
 
 
+# Deepest vertex nesting of any tree.  The recursive helpers
+# (``_graft``, ``replace_at``, ``format_tree``, ``path_words`` and the
+# matcher) use at most two frames per level, so trees this deep stay well
+# under Python's default recursion limit of 1000 frames.
+MAX_TREE_DEPTH = 300
+
+
 class TreeMonomial:
     """A planar rooted tree; ``label is None`` marks the arity-1 leaf.
 
-    ``arity`` is the number of leaves and ``weight`` the number of internal
-    vertices.  Hash and arity are precomputed so polynomial arithmetic can
-    treat trees as cheap dictionary keys.
+    ``arity`` is the number of leaves and ``depth`` the number of internal
+    vertices on the longest root-to-leaf path.  Hash and arity are
+    precomputed so polynomial arithmetic can treat trees as cheap
+    dictionary keys.  A tree deeper than ``MAX_TREE_DEPTH`` is refused,
+    whether parsed or built by grafting and reduction.
     """
 
-    __slots__ = ("label", "children", "arity", "weight", "_hash")
+    __slots__ = ("label", "children", "arity", "depth", "_hash")
 
     label: OperationSymbol | None
     children: tuple["TreeMonomial", ...]
     arity: int
-    weight: int
+    depth: int
 
     def __init__(
         self,
@@ -115,19 +124,25 @@ class TreeMonomial:
         if label is None:
             if children:
                 raise TreeError("a leaf has no children")
-            arity, weight = 1, 0
+            arity, depth = 1, 0
         else:
             if len(children) != label.arity:
                 raise TreeError(
                     f"operation {label.name!r} has arity {label.arity}, "
                     f"got {len(children)} children"
                 )
-            arity = sum(c.arity for c in children)
-            weight = 1 + sum(c.weight for c in children)
+            arity = depth = 0
+            for c in children:
+                arity += c.arity
+                if c.depth > depth:
+                    depth = c.depth
+            depth += 1
+            if depth > MAX_TREE_DEPTH:
+                raise TreeError(f"tree nested deeper than {MAX_TREE_DEPTH} vertices")
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "children", children)
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "_hash", hash((label, children)))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
@@ -262,17 +277,12 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
-# Deepest vertex nesting the parser accepts.  The recursive helpers
-# (``_graft``, ``replace_at``, ``format_tree``, ``path_words`` and the
-# matcher) use at most two frames per level, so trees this deep stay well
-# under Python's default recursion limit of 1000 frames.
-MAX_TREE_DEPTH = 300
-
-
 def parse_tree(text: str, sig: Signature) -> TreeMonomial:
     """Parse ``"*"`` or ``"(symbol tree...)"`` into a tree monomial.
 
-    Nesting deeper than ``MAX_TREE_DEPTH`` vertices is rejected.
+    Nesting deeper than ``MAX_TREE_DEPTH`` vertices is rejected with the
+    offset of the first vertex too many, before the parser's own
+    recursion goes that deep.
     """
     tokens = _tokenize(text)
     tree, rest = _parse_tree_tokens(tokens, sig)

@@ -237,6 +237,28 @@ def test_criterion_4_sweep_bytes_match_recorded_digest(quad, sweep):
                "SHA-256 byte for byte")
 
 
+def test_criterion_4_added_elements_lie_in_the_ideal(quad, sweep):
+    # adding a row's new elements to the relations leaves the quotient's
+    # dimension unchanged, so they lie in the ideal; the oracle at arity 6
+    # takes seconds, so the arity-6 elements go unchecked
+    start = time.perf_counter()
+    expected = {n: og.dimension_by_linear_algebra(quad, n) for n in (4, 5)}
+    rows_at_5 = ("a<b<c<d", "a<b<d<c", "b<a<d<c")
+    checked = 0
+    for text, report in sweep.items():
+        added = tuple(p for rec in report.iterations for p in rec.added)
+        if not added:
+            continue
+        extended = og.Presentation(quad.signature, quad.relations + added, "extended")
+        for n in (4, 5) if text in rows_at_5 else (4,):
+            assert og.dimension_by_linear_algebra(extended, n) == expected[n], (text, n)
+            checked += 1
+    elapsed = time.perf_counter() - start
+    assert checked == 22 + 3
+    _pass("4f", f"every added element of arity <= 5 lies in the ideal "
+               f"(22 rows at arity 4, 3 at arity 5), {elapsed:.1f}s")
+
+
 def test_criterion_5_dimensions(dend_basis_up, dend_basis_down, quad_basis_cbda, quad_basis_cdba):
     start = time.perf_counter()
     catalans = [1, 2, 5, 14, 42, 132, 429, 1430]

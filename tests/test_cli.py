@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from operad_gsb import cli
+from operad_gsb import cli, enumeration
 from operad_gsb.cli import main
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -251,6 +251,38 @@ def test_deep_tree_is_an_error(capsys):
     )
     assert code == 1 and out == ""
     assert err.startswith("error: tree nested deeper than") and "offset" in err
+
+
+def test_deep_normal_form_is_an_error(capsys, tmp_path):
+    # a balanced input at most 9 levels deep whose normal form, a right
+    # comb, is as deep as it has leaves less one
+    def balanced(leaves):
+        if leaves == 1:
+            return "*"
+        half = leaves // 2
+        return f"(f {balanced(half)} {balanced(leaves - half)})"
+
+    rel = tmp_path / "assoc.rel"
+    rel.write_text("ops: f\nrel: (f (f * *) *) - (f * (f * *))\n", encoding="utf-8")
+    argv = ("reduce", "--relations", str(rel), "--order", "f")
+    code, out, err = run(capsys, *argv, balanced(256))
+    assert code == 0 and err == ""
+    assert out == "(f * " * 255 + "*" + ")" * 255 + "\n"
+    code, out, err = run(capsys, *argv, balanced(400))
+    assert code == 1 and out == ""
+    assert err == "error: tree nested deeper than 300 vertices\n"
+
+
+def test_count_enumeration_guard_is_an_error(capsys, monkeypatch):
+    # succ<prec has a cubic basis element, so count enumerates; at arity 5
+    # that means 224 trees, over the lowered guard
+    monkeypatch.setattr(enumeration, "ORACLE_GUARD", 100)
+    code, out, err = run(
+        capsys, "count", "--preset", "dendriform", "--order", "succ<prec",
+        "--n-max", "5", "--oracle-max", "1",
+    )
+    assert code == 1 and out == ""
+    assert err == "error: enumeration guard exceeded: 224 monomials at arity 5\n"
 
 
 def test_step_limit_is_an_error_not_a_cap(capsys):

@@ -3,6 +3,7 @@
 import pytest
 
 import operad_gsb as og
+from operad_gsb import enumeration
 from operad_gsb.enumeration import all_tree_monomials, count_tree_monomials
 
 LEAF = og.LEAF
@@ -45,7 +46,7 @@ def test_enumerate_normal_examples(dend, dend_up, dend_basis_up, quad_basis_cbda
     assert set(got) == right_combs | {L(succ, prec)}
     assert og.enumerate_normal(dend_basis_up, 1) == [LEAF]
     corollas = og.enumerate_normal(quad_basis_cbda, 2)
-    assert len(corollas) == 4 and all(t.weight == 1 for t in corollas)
+    assert len(corollas) == 4 and all(t.depth == 1 for t in corollas)
 
 
 def test_count_normal_dendriform(dend_basis_up, dend_basis_down):
@@ -60,6 +61,15 @@ def test_count_normal_quadri(quad_basis_cbda, quad_basis_cdba):
         assert [og.count_normal(basis, n) for n in range(1, 6)] == [
             og.quadri_dim(n) for n in range(1, 6)
         ]
+
+
+def test_enumeration_guard(dend_basis_down, monkeypatch):
+    # the cubic lead sends count_normal to the enumeration fallback, which
+    # lists all 2**4 * catalan(4) = 224 dendriform trees of arity 5
+    monkeypatch.setattr(enumeration, "ORACLE_GUARD", 100)
+    assert og.count_normal(dend_basis_down, 4) == og.catalan(4)
+    with pytest.raises(og.TreeError, match="enumeration guard exceeded: 224 monomials at arity 5"):
+        og.count_normal(dend_basis_down, 5)
 
 
 def test_count_matches_enumeration(dend_basis_down, quad_basis_cbda):

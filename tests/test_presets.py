@@ -6,7 +6,7 @@ import pytest
 
 import operad_gsb as og
 from operad_gsb.polynomials import add, scale
-from operad_gsb.presets import PresentationError
+from operad_gsb.presets import PRESETS, PresentationError
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 LEAF = og.LEAF
@@ -111,15 +111,24 @@ def test_quadri_carries_a_dendriform_structure(dend, quad):
     assert d3 == scale(add(add(q[6], q[7]), q[8]), -1)
 
 
+def _statements(text):
+    return [line for line in text.splitlines() if line and not line.startswith("#")]
+
+
 def test_docs_files_match_builtins(dend, quad):
     parsed = og.parse_presentation(DOCS.joinpath("dendriform.rel").read_text())
     assert parsed.signature == dend.signature
-    assert set(parsed.relations) == set(dend.relations)
+    assert parsed.relations == dend.relations
     assert parsed.preferred_order is not None
     assert parsed.preferred_order.as_string() == "prec<succ"
     parsed_q = og.parse_presentation(DOCS.joinpath("quadri.rel").read_text())
     assert parsed_q.signature == quad.signature
-    assert set(parsed_q.relations) == set(quad.relations)
+    assert parsed_q.relations == quad.relations
+    # a preset is its docs file without the order line, comments aside
+    for name, text in PRESETS.items():
+        docs = _statements(DOCS.joinpath(f"{name}.rel").read_text())
+        assert _statements(text) == [s for s in docs if not s.startswith("order:")]
+    assert dend.preferred_order is None and quad.preferred_order is None
 
 
 def test_parse_presentation_errors():

@@ -1,9 +1,10 @@
 """Tree monomials: paths, grafting, addressing, parsing."""
 
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import operad_gsb as og
 from operad_gsb.trees import (
@@ -47,11 +48,24 @@ def test_symbol_validation():
         og.Signature((A, og.OperationSymbol("a")))
 
 
-def test_arity_and_weight():
+def test_arity_and_depth():
     t = og.node(A, og.node(B, LEAF, LEAF), LEAF)
     assert t.arity == 3
-    assert t.weight == 2
-    assert LEAF.arity == 1 and LEAF.weight == 0
+    assert t.depth == 2
+    assert LEAF.arity == 1 and LEAF.depth == 0
+
+
+def test_depth_limit_holds_for_built_trees():
+    # grafting and reduction build trees without the parser, so the
+    # constructor enforces the bound the recursive helpers rely on
+    t = LEAF
+    for _ in range(MAX_TREE_DEPTH):
+        t = og.node(A, LEAF, t)
+    assert t.depth == MAX_TREE_DEPTH
+    with pytest.raises(og.TreeError, match="deeper than"):
+        og.node(B, t, LEAF)
+    with pytest.raises(og.TreeError, match="deeper than"):
+        og.graft(og.node(A, LEAF, LEAF), [LEAF, t])
 
 
 def test_graft_builds_left_comb():
@@ -142,6 +156,36 @@ def test_parse_format_roundtrip(seed):
     rng = random.Random(seed)
     t = random_tree(rng, SYM4, rng.randint(1, 7))
     assert og.parse_tree(og.format_tree(t), SIG4) == t
+
+
+def _deep_tree(rng, sides):
+    """A spine of ``len(sides) + 1`` random vertices, one per level; the
+    vertex at level ``k`` takes, on a random side, a random tree of
+    arity ``sides[k]`` (at most 2, so the depth is the spine's)."""
+    t = og.node(rng.choice(SYM4), LEAF, LEAF)
+    for arity in sides:
+        side = random_tree(rng, SYM4, arity)
+        pair = (t, side) if rng.random() < 0.5 else (side, t)
+        t = og.node(rng.choice(SYM4), *pair)
+    return t
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, MAX_TREE_DEPTH))
+def test_parse_format_roundtrip_deep(seed, depth):
+    rng = random.Random(seed)
+    sides = [rng.randint(1, 2) for _ in range(depth - 1)]
+    t = _deep_tree(rng, sides)
+    assert t.depth == depth
+    assert og.parse_tree(og.format_tree(t), SIG4) == t
+    # the same side arities give every term the same arity
+    p = og.TreePolynomial(
+        {_deep_tree(rng, sides): Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+         for _ in range(2)}
+    )
+    order = og.OperationOrder.from_string("c<b<d<a", SIG4)
+    for text in (og.format_polynomial(p), og.format_polynomial(p, order)):
+        assert og.parse_polynomial(text, SIG4) == p
 
 
 def _circ(t, i, s):
