@@ -203,12 +203,13 @@ def _cmd_reduce(args) -> int:
     pres = _load_presentation(args)
     ord = _resolve_order(args, pres)
     poly = parse_polynomial(args.polynomial, pres.signature)
+    cfg = _config(args)
     if args.relations is not None:
         # a relation file is taken as the rewriting system itself,
         # oriented but not completed
         rules = tuple(RewriteRule.from_polynomial(r, ord) for r in pres.relations)
     else:
-        basis, report = complete(pres.relations, ord, _config(args))
+        basis, report = complete(pres.relations, ord, cfg)
         if report.status != STATUS_CONFIRMED:
             sys.stderr.write(
                 f"warning: basis not confirmed ({report.status}); "
@@ -216,7 +217,7 @@ def _cmd_reduce(args) -> int:
             )
         rules = basis.rules
     trace: list | None = [] if args.trace else None
-    nf = normal_form(poly, rules, ord, args.step_limit, trace=trace)
+    nf = normal_form(poly, rules, ord, cfg.step_limit, trace=trace)
     body = format_polynomial(nf, ord)
     if args.format == "json":
         doc = {"input": args.polynomial, "normal_form": body}

@@ -9,12 +9,8 @@ forms (monic, deduplicated) and repeats, pairing only against the fresh
 elements from the second iteration on; the final basis is self-reduced
 once after the loop terminates.
 
-Self-reduction takes the steps of the plain loop "normal-form each rule
-modulo the others; on the first change, start again from the top", but
-decides "is this rule unchanged?" by a divisibility lookup: a polynomial
-equals its normal form exactly when none of its monomials contains
-another rule's lead.  One forward scan replaces the restarts: it steps
-back only to an earlier rule that a newly created lead divides, and one
+Self-reduction is the plain loop "normal-form each rule modulo the
+others; on the first change, start again from the top".  One
 lead-occurrence table, keyed by lead value so that it never goes stale,
 answers every redex lookup of the call.
 
@@ -26,7 +22,6 @@ orientations of a pair.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -59,10 +54,6 @@ __all__ = [
     "is_gsb",
 ]
 
-PROPER_OVERLAP = "proper-overlap"
-INCLUSION = "inclusion"
-
-
 @dataclass(frozen=True)
 class SmallCommonMultiple:
     """A minimal monomial with intersecting occurrences of two leads.
@@ -75,7 +66,6 @@ class SmallCommonMultiple:
     multiple: TreeMonomial
     occ_f: Occurrence
     occ_g: Occurrence
-    kind: str
 
 
 @dataclass(frozen=True)
@@ -105,11 +95,10 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class GSBasis:
-    """An oriented rule set; ``self_reduced`` certifies pairwise reduction."""
+    """An oriented rule set under a total order of its operations."""
 
     rules: tuple[RewriteRule, ...]
     order: OperationOrder
-    self_reduced: bool
 
     @property
     def leads(self) -> tuple[TreeMonomial, ...]:
@@ -208,8 +197,7 @@ def _enumerate_scms(
         occ_f = match_at(merged, p, f_lead)
         occ_g = match_at(merged, (), g_lead)
         assert occ_f is not None and occ_g is not None
-        kind = INCLUSION if merged == g_lead else PROPER_OVERLAP
-        out.append(SmallCommonMultiple(merged, occ_f, occ_g, kind))
+        out.append(SmallCommonMultiple(merged, occ_f, occ_g))
     return out, skipped
 
 
@@ -249,58 +237,28 @@ def self_reduce(
     On exit no rule's monomial (lead or tail) is divisible by another
     rule's lead.  Relative order of the survivors is preserved.
 
-    Each step takes the first rule, in list order, with a monomial that
-    contains another rule's lead, and replaces it by its monic normal form
-    modulo the others (dropping it if that is zero), until no such rule
-    is left.  That is
-    the plain loop "normal-form each rule in turn; on the first change,
-    start again from the top", step for step, without its repeated work:
-
-    * a polynomial equals its normal form exactly when none of its
-      monomials contains another rule's lead, so whether a rule is
-      unchanged is a divisibility lookup, not a reduction;
-    * one forward scan takes the restarts' steps: every rule before the
-      scan position is normal, removing a lead cannot make a rule
-      reducible, and a new lead makes reducible exactly the rules that
-      contain it, so after a replacement the scan resumes at the first
-      earlier rule that became reducible, if any, and otherwise in place;
-    * one ``OccurrenceTable`` serves every step: it is keyed by lead
-      value, so rules being replaced or deleted never invalidate it, and
-      each reduction takes the first redex from it under the same pinned
-      strategy (first vertex in preorder, then first rule in list order).
+    The first rule, in list order, with a monomial that contains another
+    rule's lead is replaced by its monic normal form modulo the others
+    (or dropped if that is zero), and the search starts again from the
+    top.  A polynomial equals its normal form exactly when it has no
+    redex, so the check is a redex lookup; it fills the reducer's cache
+    that the reduction then reads.  One ``OccurrenceTable`` serves every
+    reducer of the call.
     """
     out = list(rules)
     table = OccurrenceTable()
-    live = Counter(r.lead for r in out)
-    for lead in live:
-        table.add_lead(lead)
-
-    def reducible(rule: RewriteRule) -> bool:
-        # the rule's own lead counts only when another rule shares it
-        return any(
-            live[lead] > (lead == rule.lead)
-            for m in (rule.lead, *rule.tail.terms)
-            for lead in table.found(m)
-        )
-
-    i = 0
-    while i < len(out):
-        rule = out[i]
-        if not reducible(rule):
-            i += 1
-            continue
-        others = out[:i] + out[i + 1 :]
-        nf = Reducer(others, ord, step_limit, table).reduce(rule.polynomial)
-        live[rule.lead] -= 1
+    while True:
+        for i, rule in enumerate(out):
+            reducer = Reducer(out[:i] + out[i + 1 :], ord, step_limit, table)
+            if any(reducer.first_redex(m) for m in (rule.lead, *rule.tail.terms)):
+                break
+        else:
+            return tuple(out)
+        nf = reducer.reduce(rule.polynomial)
         if nf.is_zero:
             del out[i]
-            continue
-        new = RewriteRule.from_polynomial(nf, ord)
-        out[i] = new
-        live[new.lead] += 1
-        table.add_lead(new.lead)
-        i = next((j for j in range(i) if reducible(out[j])), i)
-    return tuple(out)
+        else:
+            out[i] = RewriteRule.from_polynomial(nf, ord)
 
 
 def _validate_input(relations: Sequence[TreePolynomial], ord: OperationOrder) -> None:
@@ -407,7 +365,7 @@ def complete(
             status = STATUS_ARITY_CAP if arity_skipped else STATUS_CONFIRMED
             break
     final_rules = self_reduce(rules, ord, cfg.step_limit)
-    basis = GSBasis(final_rules, ord, self_reduced=True)
+    basis = GSBasis(final_rules, ord)
     report = CompletionReport(
         order=ord.as_string(),
         iterations=tuple(iterations),

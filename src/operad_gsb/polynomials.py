@@ -96,9 +96,6 @@ class TreePolynomial:
     def __neg__(self) -> "TreePolynomial":
         return scale(self, -1)
 
-    def coefficient(self, t: TreeMonomial) -> Fraction:
-        return self.terms.get(t, Fraction(0))
-
     def support(self) -> list[TreeMonomial]:
         """Monomials in a canonical (order-independent) iteration order."""
         return sorted(self.terms, key=format_tree)
@@ -160,18 +157,17 @@ def parse_polynomial(text: str, sig: Signature) -> TreePolynomial:
         raise TreeParseError("empty polynomial", 0)
     terms: dict[TreeMonomial, Fraction] = {}
     arity: int | None = None
-    first = True
-    while tokens:
+    i = 0
+    while i < len(tokens):
         sign = Fraction(1)
-        tok, pos = tokens[0]
+        tok, pos = tokens[i]
         if tok in ("+", "-"):
             sign = Fraction(-1) if tok == "-" else Fraction(1)
-            tokens = tokens[1:]
-        elif not first:
+            i += 1
+        elif i > 0:
             raise TreeParseError(f"expected '+' or '-' between terms, got {tok!r}", pos)
-        first = False
-        coeff, tokens = _parse_coefficient(tokens)
-        tree, tokens = _parse_tree_tokens(tokens, sig)
+        coeff, i = _parse_coefficient(tokens, i)
+        tree, i = _parse_tree_tokens(tokens, i, sig)
         if arity is None:
             arity = tree.arity
         elif tree.arity != arity:
@@ -187,17 +183,18 @@ def parse_polynomial(text: str, sig: Signature) -> TreePolynomial:
     return TreePolynomial(terms, arity)
 
 
-def _parse_coefficient(tokens):
-    if tokens and _INT_RE.match(tokens[0][0]):
-        num = int(tokens[0][0])
-        tokens = tokens[1:]
-        if len(tokens) >= 2 and tokens[0][0] == "/" and _INT_RE.match(tokens[1][0]):
-            den = int(tokens[1][0])
+def _parse_coefficient(tokens, i: int) -> tuple[Fraction, int]:
+    """The optional ``n`` or ``n/d`` at ``tokens[i]`` and the index past it."""
+    if i < len(tokens) and _INT_RE.match(tokens[i][0]):
+        num = int(tokens[i][0])
+        i += 1
+        if i + 1 < len(tokens) and tokens[i][0] == "/" and _INT_RE.match(tokens[i + 1][0]):
+            den = int(tokens[i + 1][0])
             if den == 0:
-                raise TreeParseError("zero denominator", tokens[1][1])
-            return Fraction(num, den), tokens[2:]
-        return Fraction(num), tokens
-    return Fraction(1), tokens
+                raise TreeParseError("zero denominator", tokens[i + 1][1])
+            return Fraction(num, den), i + 2
+        return Fraction(num), i
+    return Fraction(1), i
 
 
 def format_polynomial(p: TreePolynomial, ord: OperationOrder | None = None) -> str:

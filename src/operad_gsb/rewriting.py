@@ -244,7 +244,7 @@ class OccurrenceTable:
             self._known.add(lead)
             self._leads.append(lead)
 
-    def found(self, m: TreeMonomial) -> dict[TreeMonomial, Occurrence]:
+    def _found(self, m: TreeMonomial) -> dict[TreeMonomial, Occurrence]:
         """Every registered lead occurring in ``m``, with its first occurrence."""
         entry = self._entries.get(m)
         if entry is None:
@@ -270,7 +270,7 @@ class OccurrenceTable:
         would yield for that rule list.
         """
         best = None
-        for lead, occ in self.found(m).items():
+        for lead, occ in self._found(m).items():
             idx = rank.get(lead)
             if idx is not None and (best is None or (occ.vertex, idx) < best[:2]):
                 best = (occ.vertex, idx, occ)

@@ -285,41 +285,43 @@ def parse_tree(text: str, sig: Signature) -> TreeMonomial:
     recursion goes that deep.
     """
     tokens = _tokenize(text)
-    tree, rest = _parse_tree_tokens(tokens, sig)
-    if rest:
-        raise TreeParseError("trailing input after tree", rest[0][1])
+    tree, i = _parse_tree_tokens(tokens, 0, sig)
+    if i < len(tokens):
+        raise TreeParseError("trailing input after tree", tokens[i][1])
     return tree
 
 
-def _parse_tree_tokens(tokens, sig: Signature, depth: int = 0):
-    if not tokens:
+def _parse_tree_tokens(tokens, i: int, sig: Signature, depth: int = 0):
+    """Parse the tree starting at ``tokens[i]``; return it and the index
+    just past it."""
+    if i >= len(tokens):
         raise TreeParseError("unexpected end of input", 0)
-    tok, pos = tokens[0]
+    tok, pos = tokens[i]
     if tok == "*":
-        return LEAF, tokens[1:]
+        return LEAF, i + 1
     if tok != "(":
         raise TreeParseError(f"expected '(' or '*', got {tok!r}", pos)
     if depth == MAX_TREE_DEPTH:
         raise TreeParseError(f"tree nested deeper than {MAX_TREE_DEPTH} vertices", pos)
-    if len(tokens) < 2:
+    if i + 1 >= len(tokens):
         raise TreeParseError("unexpected end of input after '('", pos)
-    name, name_pos = tokens[1]
+    name, name_pos = tokens[i + 1]
     if name in "()*":
         raise TreeParseError(f"expected operation name, got {name!r}", name_pos)
     if name not in sig:
         raise TreeParseError(f"unknown operation {name!r}", name_pos)
     sym = sig[name]
-    rest = tokens[2:]
+    i += 2
     children = []
     for _ in range(sym.arity):
-        child, rest = _parse_tree_tokens(rest, sig, depth + 1)
+        child, i = _parse_tree_tokens(tokens, i, sig, depth + 1)
         children.append(child)
-    if not rest or rest[0][0] != ")":
-        where = rest[0][1] if rest else pos
+    if i >= len(tokens) or tokens[i][0] != ")":
+        where = tokens[i][1] if i < len(tokens) else pos
         raise TreeParseError(
             f"expected ')' closing arity-{sym.arity} operation {name!r}", where
         )
-    return TreeMonomial(sym, children), rest[1:]
+    return TreeMonomial(sym, children), i + 1
 
 
 def format_tree(t: TreeMonomial) -> str:

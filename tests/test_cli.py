@@ -296,6 +296,29 @@ def test_step_limit_is_an_error_not_a_cap(capsys):
     assert err == "error: reduction exceeded step limit of 1\n"
 
 
+def test_reduce_checks_caps_on_both_sources(capsys):
+    # a relation file is reduced against without completion, yet its caps
+    # are checked and reported as the preset's are
+    sources = [
+        ("--preset", "dendriform"),
+        ("--relations", str(DOCS / "dendriform.rel")),
+    ]
+    caps = [
+        ("--max-iterations", "0"),
+        ("--max-arity", "0"),
+        ("--step-limit", "0"),
+        ("--step-limit", "-1"),
+    ]
+    for source in sources:
+        for cap in caps:
+            code, out, err = run(
+                capsys, "reduce", *source, "--order", "prec<succ", *cap,
+                "(prec (prec * *) *)",
+            )
+            assert (code, out) == (1, ""), (source, cap)
+            assert err == "error: completion caps must be positive\n", (source, cap)
+
+
 def test_unwritable_out_is_an_error(capsys, tmp_path, monkeypatch):
     def no_completion(*args, **kwargs):
         pytest.fail("completion ran before --out was checked")

@@ -6,9 +6,8 @@ import pytest
 
 import operad_gsb as og
 from operad_gsb.completion import (
-    INCLUSION,
-    PROPER_OVERLAP,
     GSBasis,
+    SmallCommonMultiple,
     s_polynomial,
     small_common_multiples,
 )
@@ -51,7 +50,8 @@ def test_chain_overlap_first_two_relations(dend, dend_up):
     assert scm.multiple == LL(prec, prec, succ)
     assert scm.occ_f.vertex == (0,)
     assert scm.occ_g.vertex == ()
-    assert scm.kind == PROPER_OVERLAP
+    # a proper overlap: the multiple is larger than the outer lead
+    assert scm.multiple != d2.lead
     # nothing in the other orientation
     assert small_common_multiples(d2.lead, d1.lead) == []
 
@@ -66,9 +66,9 @@ def test_cubic_self_overlaps(dend, dend_down):
 
 def test_inclusion_kinds(quad):
     a, b, c, d = quad.signature.symbols
-    # fully inside, away from the root
+    # fully inside, away from the root: the multiple is the outer lead
     scms = small_common_multiples(L(b, c), LL(a, b, c))
-    assert len(scms) == 1 and scms[0].kind == INCLUSION
+    assert len(scms) == 1 and scms[0].multiple == LL(a, b, c)
     assert scms[0].occ_f.vertex == (0,)
     # root-aligned inclusion is reported once, with the contained lead first
     assert len(small_common_multiples(L(a, b), LL(a, b, c))) == 1
@@ -88,11 +88,10 @@ def test_s_polynomial_values(dend, dend_up, quad, quad_cbda):
         }
     )
     # a rule against itself on the identical occurrence cancels outright
-    from operad_gsb.completion import SmallCommonMultiple
     from operad_gsb.rewriting import match_at
 
     occ = match_at(d1.lead, (), d1.lead)
-    trivial = SmallCommonMultiple(d1.lead, occ, occ, INCLUSION)
+    trivial = SmallCommonMultiple(d1.lead, occ, occ)
     assert s_polynomial(d1, d1, trivial).is_zero
 
     a, b, c, d = quad.signature.symbols
@@ -115,7 +114,7 @@ def test_complete_dendriform_up(dend, dend_up):
     assert [(r.compositions, r.nonzero) for r in report.iterations] == [(4, 0)]
     assert report.status == "gsb_confirmed"
     assert report.basis == tuple(r.make_monic(dend_up) for r in dend.relations)
-    assert basis.self_reduced
+    assert og.self_reduce(basis.rules, dend_up) == basis.rules
 
 
 def test_complete_dendriform_down(dend, dend_down):
@@ -175,10 +174,10 @@ def test_is_gsb(dend, dend_down, dend_basis_down, quad, quad_cdba):
     assert check.status == "confirmed" and bool(check)
     assert len(check.certificate) == 9
     assert all(rec.normal_form.is_zero for rec in check.certificate)
-    bare = GSBasis(rules_for(dend, dend_down), dend_down, self_reduced=True)
+    bare = GSBasis(rules_for(dend, dend_down), dend_down)
     check = og.is_gsb(bare)
     assert check.status == "refuted" and not bool(check)
-    qbare = GSBasis(rules_for(quad, quad_cdba), quad_cdba, self_reduced=True)
+    qbare = GSBasis(rules_for(quad, quad_cdba), quad_cdba)
     assert og.is_gsb(qbare).status == "confirmed"
     # an arity cap that skips candidates cannot confirm
     capped = og.is_gsb(dend_basis_down, og.CompletionConfig(max_arity=4))

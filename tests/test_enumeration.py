@@ -168,7 +168,7 @@ def test_normal_form_characterizations(
 def test_nonbinary_enumeration_rejected(dend_basis_up):
     tern = og.OperationSymbol("tern", 3)
     order = og.OperationOrder((tern,))
-    basis = og.GSBasis((), order, self_reduced=True)
+    basis = og.GSBasis((), order)
     with pytest.raises(og.TreeError, match="binary"):
         og.enumerate_normal(basis, 3)
     with pytest.raises(og.TreeError, match="binary"):

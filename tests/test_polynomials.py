@@ -111,6 +111,18 @@ def test_text_roundtrip(seed, quad, quad_cbda):
         assert og.parse_polynomial(text, quad.signature) == p
 
 
+def test_text_roundtrip_long(quad, quad_cbda):
+    # a few hundred arity-10 terms with integer and fractional coefficients
+    rng = random.Random(7)
+    terms = {}
+    while len(terms) < 300:
+        coeff = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 1, 2, 7]))
+        terms[random_tree(rng, quad.signature.symbols, 10)] = coeff
+    p = og.TreePolynomial(terms, 10)
+    for text in (og.format_polynomial(p), og.format_polynomial(p, quad_cbda)):
+        assert og.parse_polynomial(text, quad.signature) == p
+
+
 def test_no_zero_coefficients_stored(quad):
     a = quad.signature.symbols[0]
     p = og.TreePolynomial({og.node(a, LEAF, LEAF): Fraction(0)}, 2)

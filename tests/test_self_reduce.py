@@ -1,5 +1,6 @@
-"""Final inter-reduction: the incremental ``self_reduce`` against the plain
-restart loop it replaces, plus its defining properties."""
+"""Final inter-reduction: ``self_reduce``, whose redex lookups go through a
+shared occurrence table, against the same restart loop built on plain
+``normal_form`` calls, plus its defining properties."""
 
 import itertools
 import random
