@@ -3,8 +3,10 @@ independent linear-algebra dimension oracle.
 
 For a confirmed basis the monomials free of leading terms form a linear
 basis of the quotient, so three independent counts must agree: direct
-enumeration, the transfer recurrence, and the codimension of the span of
-all relation embeddings computed by exact Gaussian elimination.
+filtering of every tree of the arity, a recurrence over the root states
+of a tree automaton built from the lead subtrees, and the codimension of
+the span of all relation embeddings computed by exact Gaussian
+elimination.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .completion import GSBasis
 from .polynomials import TreePolynomial
 from .presets import Presentation
 from .rewriting import PatternIndex, is_normal_monomial
-from .trees import LEAF, Signature, TreeError, TreeMonomial, graft
+from .trees import LEAF, Signature, TreeError, TreeMonomial, graft, internal_vertices, subtree_at
 
 __all__ = [
     "DimensionReport",
@@ -130,58 +132,45 @@ def enumerate_normal(basis: GSBasis, n: int) -> list[TreeMonomial]:
     return normal
 
 
-def _quadratic_forbidden_pairs(basis: GSBasis) -> set[tuple[str, str]] | None:
-    """The (root, left-child) label pairs when every lead is an arity-3
-    left comb; None when some lead has another shape."""
-    pairs = set()
-    for lead in basis.leads:
-        if lead.arity != 3 or lead.is_leaf:
-            return None
-        left, right = lead.children
-        if left.is_leaf or not right.is_leaf or not all(c.is_leaf for c in left.children):
-            return None
-        pairs.add((lead.label.name, left.label.name))
-    return pairs
-
-
 def count_normal(basis: GSBasis, n: int) -> int:
-    """Number of normal monomials of arity ``n``.
+    """Number of normal monomials of arity ``n``, by a bottom-up tree
+    automaton whose patterns are the internal subtrees of the leads.
 
-    Quadratic left-comb bases use a transfer recurrence over the root
-    label (growth to the right is free, growth to the left is filtered by
-    the allowed label pairs); anything else falls back to enumeration.
+    A tree's state is the set of patterns that match at its root: ``p``
+    matches ``(f l r)`` when ``p.label == f`` and each child of ``p`` is
+    a leaf or lies in the state of the matching child of the tree.  A
+    tree is normal when its children are normal and its state holds no
+    lead, so the normal trees of each arity are counted by root state,
+    from the single leaf (empty state) up.
     """
     sig = basis.order.signature
     _require_binary(sig)
     if n < 1:
         raise TreeError(f"arity must be >= 1, got {n}")
-    if n == 1:
-        return 1
-    forbidden = _quadratic_forbidden_pairs(basis)
-    if forbidden is None:
-        return len(enumerate_normal(basis, n))
-    names = [s.name for s in sig.symbols]
-    # by_root[m][r]: normal trees of arity m with root label r
-    by_root: list[dict[str, int] | None] = [None, {}]
-    totals = [0, 1]
+    leads = frozenset(basis.leads)
+    # root label -> the internal subtrees of the leads with that label
+    patterns = {s: set() for s in sig.symbols}
+    for lead in leads:
+        for v in internal_vertices(lead):
+            p = subtree_at(lead, v)
+            patterns[p.label].add(p)
+    # count[m][state]: normal trees of arity m whose root state is state
+    count: list[dict[frozenset, int]] = [{}, {frozenset(): 1}]
     for m in range(2, n + 1):
-        row: dict[str, int] = {}
-        for r in names:
-            acc = 0
+        row: dict[frozenset, int] = {}
+        for pats in patterns.values():
             for i in range(1, m):
-                if i == 1:
-                    left = 1
-                else:
-                    left = sum(
-                        cnt
-                        for s, cnt in by_root[i].items()
-                        if (r, s) not in forbidden
-                    )
-                acc += left * totals[m - i]
-            row[r] = acc
-        by_root.append(row)
-        totals.append(sum(row.values()))
-    return totals[n]
+                for left, a in count[i].items():
+                    for right, b in count[m - i].items():
+                        state = frozenset(
+                            p for p in pats
+                            if (p.children[0].is_leaf or p.children[0] in left)
+                            and (p.children[1].is_leaf or p.children[1] in right)
+                        )
+                        if state.isdisjoint(leads):
+                            row[state] = row.get(state, 0) + a * b
+        count.append(row)
+    return sum(count[n].values())
 
 
 def dimension_by_linear_algebra(pres: Presentation, n: int) -> int:

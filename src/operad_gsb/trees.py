@@ -203,21 +203,17 @@ def graft(outer: TreeMonomial, inners: Sequence[TreeMonomial]) -> TreeMonomial:
             f"graft needs {outer.arity} trees for an arity-{outer.arity} "
             f"monomial, got {len(inners)}"
         )
-    tree, rest = _graft(outer, inners)
-    assert not rest
-    return tree
+    return _graft(outer, iter(inners))
 
 
-def _graft(t: TreeMonomial, inners: tuple) -> tuple[TreeMonomial, tuple]:
+def _graft(t: TreeMonomial, inners: Iterator[TreeMonomial]) -> TreeMonomial:
+    """``t`` with each leaf, left to right, replaced by the next of ``inners``."""
     if t.is_leaf:
-        return inners[0], inners[1:]
-    new_children = []
-    for child in t.children:
-        sub, inners = _graft(child, inners)
-        new_children.append(sub)
-    if all(a is b for a, b in zip(new_children, t.children)):
-        return t, inners
-    return TreeMonomial(t.label, new_children), inners
+        return next(inners)
+    children = [_graft(child, inners) for child in t.children]
+    if all(a is b for a, b in zip(children, t.children)):
+        return t
+    return TreeMonomial(t.label, children)
 
 
 def subtree_at(t: TreeMonomial, vertex: Sequence[int]) -> TreeMonomial:
@@ -295,7 +291,8 @@ def _parse_tree_tokens(tokens, i: int, sig: Signature, depth: int = 0):
     """Parse the tree starting at ``tokens[i]``; return it and the index
     just past it."""
     if i >= len(tokens):
-        raise TreeParseError("unexpected end of input", 0)
+        end = tokens[-1][1] + len(tokens[-1][0]) if tokens else 0
+        raise TreeParseError("unexpected end of input", end)
     tok, pos = tokens[i]
     if tok == "*":
         return LEAF, i + 1

@@ -30,6 +30,25 @@ def random_polynomial(rng: random.Random, symbols, arity: int, max_terms: int = 
     return og.TreePolynomial(terms, arity)
 
 
+def random_rules(seed, quad):
+    """Up to 8 random rules of arity 3-4 over the quadri symbols; some are
+    sums of earlier ones, so that rules also vanish, not only change."""
+    rng = random.Random(seed)
+    order = og.OperationOrder(tuple(rng.sample(quad.signature.symbols, 4)))
+    polys = []
+    for _ in range(rng.randint(1, 8)):
+        p = random_polynomial(rng, order.ranked, rng.randint(3, 4))
+        same = [q for q in polys if q.arity == p.arity]
+        if same and rng.random() < 0.4:
+            p = rng.choice(same) + og.TreePolynomial(
+                {m: rng.choice([-1, 1]) * c for m, c in rng.choice(same).terms.items()},
+                p.arity,
+            )
+        if p:
+            polys.append(p)
+    return [og.RewriteRule.from_polynomial(p, order) for p in polys], order
+
+
 def load_bench_module(name: str):
     """Load ``bench/<name>.py`` by path; ``bench`` is not a package."""
     path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"

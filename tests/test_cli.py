@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from operad_gsb import cli, enumeration
+from operad_gsb import cli
 from operad_gsb.cli import main
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -273,16 +273,18 @@ def test_deep_normal_form_is_an_error(capsys, tmp_path):
     assert err == "error: tree nested deeper than 300 vertices\n"
 
 
-def test_count_enumeration_guard_is_an_error(capsys, monkeypatch):
-    # succ<prec has a cubic basis element, so count enumerates; at arity 5
-    # that means 224 trees, over the lowered guard
-    monkeypatch.setattr(enumeration, "ORACLE_GUARD", 100)
+def test_count_beyond_the_listing_guard(capsys):
+    # succ<prec has a cubic basis element; arity 10 alone has
+    # 2**9 * catalan(9) = 2,489,344 trees, more than a listing may hold,
+    # but counting normal monomials lists none of them
     code, out, err = run(
         capsys, "count", "--preset", "dendriform", "--order", "succ<prec",
-        "--n-max", "5", "--oracle-max", "1",
+        "--n-max", "11", "--format", "json",
     )
-    assert code == 1 and out == ""
-    assert err == "error: enumeration guard exceeded: 224 monomials at arity 5\n"
+    assert code == 0 and err == ""
+    rows = json.loads(out)
+    assert [r["arity"] for r in rows] == list(range(1, 12))
+    assert all(r["normal_count"] == r["formula_value"] for r in rows)
 
 
 def test_step_limit_is_an_error_not_a_cap(capsys):

@@ -1,10 +1,13 @@
 """Normal-monomial counting, reference formulas, dimension oracle."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import operad_gsb as og
 from operad_gsb import enumeration
 from operad_gsb.enumeration import all_tree_monomials, count_tree_monomials
+
+from conftest import random_rules
 
 LEAF = og.LEAF
 
@@ -64,19 +67,38 @@ def test_count_normal_quadri(quad_basis_cbda, quad_basis_cdba):
 
 
 def test_enumeration_guard(dend_basis_down, monkeypatch):
-    # the cubic lead sends count_normal to the enumeration fallback, which
-    # lists all 2**4 * catalan(4) = 224 dendriform trees of arity 5
+    # listing the normal monomials of arity 5 filters all
+    # 2**4 * catalan(4) = 224 dendriform trees, over the lowered guard;
+    # counting them lists no tree at all
     monkeypatch.setattr(enumeration, "ORACLE_GUARD", 100)
-    assert og.count_normal(dend_basis_down, 4) == og.catalan(4)
     with pytest.raises(og.TreeError, match="enumeration guard exceeded: 224 monomials at arity 5"):
-        og.count_normal(dend_basis_down, 5)
+        og.enumerate_normal(dend_basis_down, 5)
+    assert og.count_normal(dend_basis_down, 5) == og.catalan(5)
 
 
-def test_count_matches_enumeration(dend_basis_down, quad_basis_cbda):
-    # the cubic lead forces the enumeration fallback; cross-check both paths
-    for basis in (dend_basis_down, quad_basis_cbda):
-        for n in range(1, 7):
+@pytest.fixture(scope="module")
+def quad_basis_abdc(quad):
+    order = og.OperationOrder.from_string("a<b<d<c", quad.signature)
+    basis, report = og.complete(quad.relations, order)
+    assert report.status == "iteration_cap"
+    return basis
+
+
+def test_count_matches_enumeration(dend_basis_down, quad_basis_cbda, quad_basis_abdc):
+    # one cubic lead; quadratic leads only; an iteration-capped basis with
+    # leads of arity 3 to 6
+    for basis, n_max in ((dend_basis_down, 6), (quad_basis_cbda, 6), (quad_basis_abdc, 5)):
+        for n in range(1, n_max + 1):
             assert og.count_normal(basis, n) == len(og.enumerate_normal(basis, n))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_count_matches_enumeration_on_random_leads(seed, quad):
+    rules, order = random_rules(seed, quad)
+    basis = og.GSBasis(tuple(rules), order)
+    for n in range(1, 6):
+        assert og.count_normal(basis, n) == len(og.enumerate_normal(basis, n))
 
 
 def test_dimension_oracle(dend, quad):

@@ -3,7 +3,6 @@ shared occurrence table, against the same restart loop built on plain
 ``normal_form`` calls, plus its defining properties."""
 
 import itertools
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +11,7 @@ import operad_gsb as og
 from operad_gsb import completion
 from operad_gsb.rewriting import RewriteRule, normal_form
 
-from conftest import random_polynomial
+from conftest import random_rules
 
 
 def restart_self_reduce(rules, ord, step_limit=10**6):
@@ -44,25 +43,6 @@ def assert_inter_reduced(rules):
         leads = [r.lead for j, r in enumerate(rules) if j != i]
         for m in rule.polynomial.terms:
             assert og.is_normal_monomial(m, leads), (i, og.format_tree(m))
-
-
-def random_rules(seed, quad):
-    """Up to 8 random rules of arity 3-4 over the quadri symbols; some are
-    sums of earlier ones, so that rules also vanish, not only change."""
-    rng = random.Random(seed)
-    order = og.OperationOrder(tuple(rng.sample(quad.signature.symbols, 4)))
-    polys = []
-    for _ in range(rng.randint(1, 8)):
-        p = random_polynomial(rng, order.ranked, rng.randint(3, 4))
-        same = [q for q in polys if q.arity == p.arity]
-        if same and rng.random() < 0.4:
-            p = rng.choice(same) + og.TreePolynomial(
-                {m: rng.choice([-1, 1]) * c for m, c in rng.choice(same).terms.items()},
-                p.arity,
-            )
-        if p:
-            polys.append(p)
-    return [RewriteRule.from_polynomial(p, order) for p in polys], order
 
 
 @settings(max_examples=150, deadline=None)

@@ -133,6 +133,19 @@ def test_parse_errors_carry_position():
         og.parse_tree("", sig)
 
 
+def test_truncated_input_reports_its_end():
+    sig = og.dendriform().signature
+    for parse, text, end in (
+        (og.parse_polynomial, "(prec * *) +", 12),
+        (og.parse_tree, "(prec *", 7),
+        (og.parse_tree, "(prec * (succ *", 15),
+        (og.parse_tree, "", 0),
+    ):
+        with pytest.raises(TreeParseError, match="unexpected end of input") as info:
+            parse(text, sig)
+        assert info.value.position == end
+
+
 def test_parse_depth_limit():
     def comb(depth):
         return "(a " * depth + "*" + " *)" * depth
@@ -170,9 +183,9 @@ def _deep_tree(rng, sides):
     return t
 
 
-@settings(max_examples=12, deadline=None)
-@given(st.integers(0, 10**9), st.integers(1, MAX_TREE_DEPTH))
-def test_parse_format_roundtrip_deep(seed, depth):
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, MAX_TREE_DEPTH), st.integers(2, 6))
+def test_parse_format_roundtrip_deep(seed, depth, n_terms):
     rng = random.Random(seed)
     sides = [rng.randint(1, 2) for _ in range(depth - 1)]
     t = _deep_tree(rng, sides)
@@ -181,7 +194,7 @@ def test_parse_format_roundtrip_deep(seed, depth):
     # the same side arities give every term the same arity
     p = og.TreePolynomial(
         {_deep_tree(rng, sides): Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
-         for _ in range(2)}
+         for _ in range(n_terms)}
     )
     order = og.OperationOrder.from_string("c<b<d<a", SIG4)
     for text in (og.format_polynomial(p), og.format_polynomial(p, order)):
