@@ -64,6 +64,9 @@ class TreePolynomial:
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("TreePolynomial is immutable")
 
+    def __reduce__(self):
+        return TreePolynomial, (self.terms, self.arity)
+
     @classmethod
     def zero(cls, arity: int) -> "TreePolynomial":
         return cls({}, arity)

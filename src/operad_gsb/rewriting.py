@@ -102,8 +102,9 @@ class PatternIndex:
 
     ``occurrences`` tries at a vertex only the patterns whose root label
     matches the vertex's.  Groups are keyed on the label's name: a ``str``
-    caches its hash, where the dataclass ``OperationSymbol`` builds a
-    tuple on every hash.  Patterns can be appended; indices never move.
+    hashes and compares in C, where an ``OperationSymbol`` (symbols are
+    not interned, so equal ones may be distinct objects) hashes and
+    compares in Python.  Patterns can be appended; indices never move.
     """
 
     __slots__ = ("patterns", "by_root")
@@ -297,14 +298,18 @@ class Reducer:
         table: OccurrenceTable | None = None,
     ):
         self.rules = tuple(rules)
-        self._leads = PatternIndex(r.lead for r in self.rules)
+        leads = [r.lead for r in self.rules]
         self.ord = ord
         self.step_limit = step_limit
         self._first_redex: dict[TreeMonomial, tuple | None] = {}
         self._table = table
         self._rank: dict[TreeMonomial, int] = {}
-        if table is not None:
-            for idx, lead in enumerate(self._leads.patterns):
+        if table is None:
+            self._leads: PatternIndex | list[TreeMonomial] = PatternIndex(leads)
+        else:
+            # only the randomized schedule searches the leads here
+            self._leads = leads
+            for idx, lead in enumerate(leads):
                 table.add_lead(lead)
                 self._rank.setdefault(lead, idx)
 

@@ -2,8 +2,11 @@
 
 A tree monomial is a planar rooted tree whose internal vertices carry
 operation symbols; leaves are unlabeled, ordered input slots.  The single
-leaf is the arity-1 identity.  Trees are immutable values: safe to hash,
-share and compare structurally.
+leaf is the arity-1 identity.  Trees are immutable and hash-consed: the
+constructor returns the one live tree with a given label and children,
+so equal trees are the same object and compare and hash by identity.
+Tree hashes therefore differ from process to process (as ``str`` hashes
+already do); no output depends on them.
 
 Vertex addresses are tuples of child indices from the root, so ``()`` is
 the root and ``(0, 1)`` is the second child of the first child.
@@ -11,7 +14,9 @@ the root and ``(0, 1)`` is the second child of the first child.
 
 from __future__ import annotations
 
+import functools
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -62,6 +67,9 @@ class OperationSymbol:
         if self.arity < 2:
             raise TreeError(f"operation {self.name!r} must have arity >= 2")
 
+    def __hash__(self) -> int:
+        return hash(self.name)
+
     def __repr__(self) -> str:
         return f"OperationSymbol({self.name!r}, {self.arity})"
 
@@ -98,17 +106,43 @@ class Signature:
 MAX_TREE_DEPTH = 300
 
 
-class TreeMonomial:
+# label -> {children: the live tree with that label and children}.  A
+# tree leaves its table when its last reference goes, so the tables hold
+# no dead trees.
+_INTERNED: dict[OperationSymbol | None, weakref.WeakValueDictionary] = {}
+
+
+class _HashConsed(type):
+    """Calling the class returns the live tree of the value if there is
+    one, so ``__init__`` and its checks run once per distinct tree."""
+
+    def __call__(
+        cls,
+        label: OperationSymbol | None = None,
+        children: Sequence[TreeMonomial] = (),
+    ) -> TreeMonomial:
+        children = tuple(children)
+        table = _INTERNED.get(label)
+        if table is None:
+            table = _INTERNED[label] = weakref.WeakValueDictionary()
+        tree = table.get(children)
+        if tree is None:
+            tree = table[children] = super().__call__(label, children)
+        return tree
+
+
+class TreeMonomial(metaclass=_HashConsed):
     """A planar rooted tree; ``label is None`` marks the arity-1 leaf.
 
     ``arity`` is the number of leaves and ``depth`` the number of internal
-    vertices on the longest root-to-leaf path.  Hash and arity are
-    precomputed so polynomial arithmetic can treat trees as cheap
-    dictionary keys.  A tree deeper than ``MAX_TREE_DEPTH`` is refused,
-    whether parsed or built by grafting and reduction.
+    vertices on the longest root-to-leaf path.  Trees are hash-consed:
+    equal trees are one object, so equality and hashing are identity and
+    polynomial arithmetic uses trees as cheap dictionary keys.  A tree
+    deeper than ``MAX_TREE_DEPTH`` is refused, whether parsed or built by
+    grafting and reduction.
     """
 
-    __slots__ = ("label", "children", "arity", "depth", "_hash")
+    __slots__ = ("label", "children", "arity", "depth", "__weakref__")
 
     label: OperationSymbol | None
     children: tuple["TreeMonomial", ...]
@@ -118,9 +152,8 @@ class TreeMonomial:
     def __init__(
         self,
         label: OperationSymbol | None = None,
-        children: Sequence["TreeMonomial"] = (),
+        children: tuple["TreeMonomial", ...] = (),
     ):
-        children = tuple(children)
         if label is None:
             if children:
                 raise TreeError("a leaf has no children")
@@ -143,28 +176,23 @@ class TreeMonomial:
         object.__setattr__(self, "children", children)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "_hash", hash((label, children)))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("TreeMonomial is immutable")
 
+    def __reduce__(self):
+        # rebuilt through the constructor, so unpickling and copying
+        # return the live tree of the value
+        return TreeMonomial, (self.label, self.children)
+
+    def __deepcopy__(self, memo):
+        # the generic deep copy recurses several frames per level, too
+        # many for a tree of ``MAX_TREE_DEPTH``
+        return self
+
     @property
     def is_leaf(self) -> bool:
         return self.label is None
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, TreeMonomial):
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and (self.label is other.label or self.label == other.label)
-            and self.children == other.children
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"TreeMonomial<{format_tree(self)}>"
@@ -203,6 +231,16 @@ def graft(outer: TreeMonomial, inners: Sequence[TreeMonomial]) -> TreeMonomial:
             f"graft needs {outer.arity} trees for an arity-{outer.arity} "
             f"monomial, got {len(inners)}"
         )
+    return _memo_graft(outer, inners)
+
+
+# Completion embeds the same rule monomials into the same bindings again
+# and again.  The memo is bounded because it keeps its trees alive.
+_GRAFT_MEMO_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=_GRAFT_MEMO_SIZE)
+def _memo_graft(outer: TreeMonomial, inners: tuple[TreeMonomial, ...]) -> TreeMonomial:
     return _graft(outer, iter(inners))
 
 

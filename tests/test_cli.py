@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -198,6 +200,24 @@ def test_deterministic_output(capsys):
     _, out1, _ = run(capsys, "complete", "--preset", "quadri", "--order", "c<b<d<a")
     _, out2, _ = run(capsys, "complete", "--preset", "quadri", "--order", "c<b<d<a")
     assert out1 == out2
+
+
+def test_output_independent_of_hash_seed():
+    # trees hash by identity and symbol names by the seeded str hash, so
+    # no output may depend on the order of a set or a hash
+    src = Path(__file__).resolve().parent.parent / "src"
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "operad_gsb.cli", "complete", "--preset", "quadri",
+             "--order", "a<b<d<c", "--format", "json"],
+            env=env, capture_output=True, check=False,
+        )
+        assert proc.returncode == 2, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_usage_errors(capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Tree polynomials: exact arithmetic, leading terms, text form."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -129,3 +131,9 @@ def test_no_zero_coefficients_stored(quad):
     assert p.is_zero and not p.terms
     with pytest.raises(og.TreeError):
         og.TreePolynomial({})  # zero needs explicit arity
+
+
+def test_pickle_and_copy_round_trip(dend, quad):
+    for p in (*dend.relations, *quad.relations, og.TreePolynomial.zero(3)):
+        for q in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert q == p

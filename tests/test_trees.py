@@ -1,12 +1,17 @@
 """Tree monomials: paths, grafting, addressing, parsing."""
 
+import copy
+import gc
+import pickle
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import operad_gsb as og
+from operad_gsb import trees
 from operad_gsb.trees import (
     MAX_TREE_DEPTH,
     TreeParseError,
@@ -66,6 +71,44 @@ def test_depth_limit_holds_for_built_trees():
         og.node(B, t, LEAF)
     with pytest.raises(og.TreeError, match="deeper than"):
         og.graft(og.node(A, LEAF, LEAF), [LEAF, t])
+    # a refused tree never enters the intern table
+    assert (t, LEAF) not in trees._INTERNED[B]
+    assert (LEAF, t) not in trees._INTERNED[A]
+
+
+def test_pickle_and_copy_return_the_live_tree():
+    deepest = LEAF
+    for _ in range(MAX_TREE_DEPTH):
+        deepest = og.node(A, LEAF, deepest)
+    for t in (LEAF, og.node(B, og.node(C, LEAF, LEAF), LEAF), deepest):
+        assert pickle.loads(pickle.dumps(t)) is t
+        assert copy.copy(t) is t
+        assert copy.deepcopy(t) is t
+
+
+@given(st.integers(0, 10**9))
+def test_equal_trees_are_one_object(seed):
+    rng = random.Random(seed)
+    t = random_tree(rng, SYM4, rng.randint(1, 7))
+    assert og.parse_tree(og.format_tree(t), SIG4) is t
+    # equal but distinct symbols build the same tree
+    twins = og.Signature(tuple(og.OperationSymbol(s.name, s.arity) for s in SYM4))
+    assert og.parse_tree(og.format_tree(t), twins) is t
+    inners = [random_tree(rng, SYM4, rng.randint(1, 3)) for _ in range(t.arity)]
+    built = [og.graft(t, inners)]
+    built += [replace_at(t, v, inners[0]) for v in internal_vertices(t)]
+    for u in built:
+        assert og.parse_tree(og.format_tree(u), SIG4) is u
+
+
+def test_dropped_tree_is_released():
+    sym = og.OperationSymbol("dropped")  # a label no other tree carries
+    t = og.node(sym, og.node(sym, LEAF, LEAF), LEAF)
+    ref = weakref.ref(t)
+    del t
+    gc.collect()
+    assert ref() is None
+    assert len(trees._INTERNED[sym]) == 0
 
 
 def test_graft_builds_left_comb():
