@@ -10,9 +10,10 @@ elements from the second iteration on; the final basis is self-reduced
 once after the loop terminates.
 
 Self-reduction is the plain loop "normal-form each rule modulo the
-others; on the first change, start again from the top".  One
-lead-occurrence table, keyed by lead value so that it never goes stale,
-answers every redex lookup of the call.
+others; on the first change, start again from the top".  The reducers
+of one call share a pattern index, whose memo of the leads matching at
+each subtree's root never goes stale: a lead is a pattern at a fixed
+position, and the rules that leave the list only leave positions unread.
 
 Enumeration is over ordered pairs: ``small_common_multiples(f, g)`` lists
 the multiples where ``f`` embeds at or inside the root occurrence of
@@ -30,14 +31,22 @@ from .polynomials import TreePolynomial, format_polynomial
 from .rewriting import (
     DEFAULT_STEP_LIMIT,
     Occurrence,
-    OccurrenceTable,
+    PatternIndex,
     Reducer,
     RewriteRule,
     add_embedding,
     match_at,
     normal_form,  # noqa: F401 - bench/tracing.py wraps completion.normal_form
 )
-from .trees import TreeError, TreeMonomial, format_tree, graft, internal_vertices, subtree_at
+from .trees import (
+    TreeError,
+    TreeMonomial,
+    format_tree,
+    graft,
+    internal_vertices,
+    replace_at,
+    subtree_at,
+)
 
 __all__ = [
     "SmallCommonMultiple",
@@ -160,17 +169,6 @@ def _merge(x: TreeMonomial, y: TreeMonomial) -> TreeMonomial | None:
     return TreeMonomial(x.label, children)
 
 
-def _overlay(base: TreeMonomial, pat: TreeMonomial, path: tuple[int, ...]) -> TreeMonomial | None:
-    if not path:
-        return _merge(base, pat)
-    sub = _overlay(base.children[path[0]], pat, path[1:])
-    if sub is None:
-        return None
-    children = list(base.children)
-    children[path[0]] = sub
-    return TreeMonomial(base.label, children)
-
-
 def _enumerate_scms(
     f_lead: TreeMonomial, g_lead: TreeMonomial, max_arity: int
 ) -> tuple[list[SmallCommonMultiple], int]:
@@ -180,9 +178,10 @@ def _enumerate_scms(
     out: list[SmallCommonMultiple] = []
     skipped = 0
     for p in internal_vertices(g_lead):
-        merged = _overlay(g_lead, f_lead, p)
-        if merged is None:
+        inner = _merge(subtree_at(g_lead, p), f_lead)
+        if inner is None:
             continue
+        merged = replace_at(g_lead, p, inner)
         if p == ():
             # Root-aligned: keep only when f sits strictly inside g, or on
             # one canonical side of an incomparable overlap, so the two
@@ -242,14 +241,15 @@ def self_reduce(
     (or dropped if that is zero), and the search starts again from the
     top.  A polynomial equals its normal form exactly when it has no
     redex, so the check is a redex lookup; it fills the reducer's cache
-    that the reduction then reads.  One ``OccurrenceTable`` serves every
-    reducer of the call.
+    that the reduction then reads.  Every reducer of the call reads one
+    shared ``PatternIndex``, so each subtree is matched against a lead
+    once per call, whichever rule list asks.
     """
     out = list(rules)
-    table = OccurrenceTable()
+    index = PatternIndex()
     while True:
         for i, rule in enumerate(out):
-            reducer = Reducer(out[:i] + out[i + 1 :], ord, step_limit, table)
+            reducer = Reducer(out[:i] + out[i + 1 :], ord, step_limit, index)
             if any(reducer.first_redex(m) for m in (rule.lead, *rule.tail.terms)):
                 break
         else:

@@ -36,7 +36,6 @@ __all__ = [
     "RewriteRule",
     "ReductionError",
     "PatternIndex",
-    "OccurrenceTable",
     "occurrences",
     "match_at",
     "add_embedding",
@@ -98,20 +97,35 @@ def _match(ambient: TreeMonomial, pattern: TreeMonomial) -> list[TreeMonomial] |
 
 
 class PatternIndex:
-    """Patterns grouped by root label, each group in list order.
+    """Patterns grouped by root label, each group in list order, plus a
+    memo of which patterns match at the root of each subtree read.
 
-    ``occurrences`` tries at a vertex only the patterns whose root label
-    matches the vertex's.  Groups are keyed on the label's name: a ``str``
-    hashes and compares in C, where an ``OperationSymbol`` (symbols are
-    not interned, so equal ones may be distinct objects) hashes and
-    compares in Python.  Patterns can be appended; indices never move.
+    Trees are hash-consed, so the patterns matching at a vertex depend on
+    the vertex's subtree alone: one memo, keyed by subtree, serves every
+    tree that contains it and every search that reads the index (the
+    bottom-up view of Hoffmann and O'Donnell, "Pattern matching in
+    trees", JACM 29(1), 1982).  A subtree is matched only against the
+    patterns with its root label.  Groups are keyed on the label's name:
+    a ``str`` hashes and compares in C, where an ``OperationSymbol``
+    (symbols are not interned, so equal ones may be distinct objects)
+    hashes and compares in Python.  Patterns can be appended; indices
+    never move, and a pattern appended after a subtree was read is tried
+    the next time that subtree is read.  The memo keeps every subtree it
+    has read alive for as long as the index lives.
     """
 
-    __slots__ = ("patterns", "by_root")
+    __slots__ = ("patterns", "by_root", "_first", "_memo", "_unmatched")
 
     def __init__(self, patterns: Iterable[TreeMonomial] = ()):
         self.patterns: list[TreeMonomial] = []
         self.by_root: dict[str, list[tuple[int, TreeMonomial]]] = {}
+        # pattern -> its first index
+        self._first: dict[TreeMonomial, int] = {}
+        # subtree -> (patterns tried, indices of those that match at its root)
+        self._memo: dict[TreeMonomial, tuple[int, tuple[int, ...]]] = {}
+        # the memo entry of every subtree that no pattern matches, shared
+        # because most subtrees are such
+        self._unmatched: tuple[int, tuple[int, ...]] = (0, ())
         for pattern in patterns:
             self.append(pattern)
 
@@ -120,43 +134,65 @@ class PatternIndex:
         would match everywhere."""
         if pattern.label is None:
             raise TreeError("leaf pattern would occur at every vertex")
-        group = self.by_root.setdefault(pattern.label.name, [])
-        group.append((len(self.patterns), pattern))
+        idx = len(self.patterns)
+        self.by_root.setdefault(pattern.label.name, []).append((idx, pattern))
         self.patterns.append(pattern)
+        self._first.setdefault(pattern, idx)
+        self._unmatched = (idx + 1, ())
+
+    def position(self, pattern: TreeMonomial) -> int:
+        """The first index of ``pattern``, appended first if it is absent."""
+        if pattern not in self._first:
+            self.append(pattern)
+        return self._first[pattern]
+
+    def _matched(
+        self, ambient: TreeMonomial
+    ) -> Iterator[tuple[tuple[int, ...], TreeMonomial, tuple[int, ...]]]:
+        """Yield ``(vertex, subtree, indices)`` for every vertex of
+        ``ambient`` at which a pattern matches, in preorder; the indices
+        of the matching patterns ascend."""
+        if ambient.label is None:
+            return
+        memo, by_root, unmatched = self._memo, self.by_root, self._unmatched
+        n = len(self.patterns)
+        stack = [((), ambient)]
+        while stack:
+            vertex, sub = stack.pop()
+            entry = memo.get(sub)
+            if entry is None or entry[0] < n:
+                tried, found = entry or (0, ())
+                found += tuple(
+                    idx
+                    for idx, pattern in by_root.get(sub.label.name, ())
+                    if idx >= tried and _match(sub, pattern) is not None
+                )
+                entry = memo[sub] = (n, found) if found else unmatched
+            if entry[1]:
+                yield vertex, sub, entry[1]
+            children = sub.children
+            for i in range(len(children) - 1, -1, -1):
+                if children[i].label is not None:
+                    stack.append((vertex + (i,), children[i]))
 
 
 def occurrences(
-    ambient: TreeMonomial,
-    patterns: Sequence[TreeMonomial] | PatternIndex,
-    start: int = 0,
+    ambient: TreeMonomial, patterns: Sequence[TreeMonomial] | PatternIndex
 ) -> Iterator[tuple[tuple[int, ...], int, Occurrence]]:
     """Yield ``(vertex, pattern index, occurrence)`` for every embedding.
 
-    One preorder walk carries each vertex's subtree, so no match starts
-    from the root again, and a vertex tries only the patterns with its
-    root label.  Vertices come in preorder and, at each vertex, patterns
-    in list order: the first item is the pinned redex.  Patterns with an
-    index below ``start`` are skipped.  Callers that search many trees
-    for the same patterns pass a prebuilt ``PatternIndex``.  Every
-    pattern needs an internal vertex; a bare leaf would match everywhere
-    and is rejected.
+    One preorder walk over the index's root-match memo: vertices come in
+    preorder and, at each vertex, patterns in list order, so the first
+    item is the pinned redex.  Callers that search many trees for the
+    same patterns pass a prebuilt ``PatternIndex``.  Every pattern needs
+    an internal vertex; a bare leaf would match everywhere and is
+    rejected.
     """
     index = patterns if isinstance(patterns, PatternIndex) else PatternIndex(patterns)
-    if ambient.label is None:
-        return
-    by_root = index.by_root
-    stack = [((), ambient)]
-    while stack:
-        vertex, sub = stack.pop()
-        for idx, pattern in by_root.get(sub.label.name, ()):
-            if idx >= start:
-                bindings = _match(sub, pattern)
-                if bindings is not None:
-                    yield vertex, idx, Occurrence(vertex, tuple(bindings))
-        children = sub.children
-        for i in range(len(children) - 1, -1, -1):
-            if children[i].label is not None:
-                stack.append((vertex + (i,), children[i]))
+    for vertex, sub, found in index._matched(ambient):
+        for idx in found:
+            bindings = _match(sub, index.patterns[idx])
+            yield vertex, idx, Occurrence(vertex, tuple(bindings))
 
 
 def is_normal_monomial(
@@ -225,59 +261,6 @@ def add_embedding(
     return nonzero
 
 
-class OccurrenceTable:
-    """Per monomial, the first occurrence of every lead that occurs in it.
-
-    A table outlives the rule lists it serves: its entries are keyed by
-    lead value, not by rule index, so they never go stale when rules are
-    replaced or deleted; a lead registered later is looked for the next
-    time an entry is read.  Entries are filled lazily and are sparse:
-    ``[leads checked, {lead: first occurrence in preorder} or None]``.
-    """
-
-    def __init__(self) -> None:
-        self._leads = PatternIndex()
-        self._known: set[TreeMonomial] = set()
-        self._entries: dict[TreeMonomial, list] = {}
-
-    def add_lead(self, lead: TreeMonomial) -> None:
-        if lead not in self._known:
-            self._known.add(lead)
-            self._leads.append(lead)
-
-    def _found(self, m: TreeMonomial) -> dict[TreeMonomial, Occurrence]:
-        """Every registered lead occurring in ``m``, with its first occurrence."""
-        entry = self._entries.get(m)
-        if entry is None:
-            entry = self._entries[m] = [0, None]
-        checked, found = entry
-        patterns = self._leads.patterns
-        if checked < len(patterns):
-            for _, idx, occ in occurrences(m, self._leads, checked):
-                if found is None:
-                    found = entry[1] = {}
-                found.setdefault(patterns[idx], occ)
-            entry[0] = len(patterns)
-        return found or {}
-
-    def first_redex(
-        self, m: TreeMonomial, rank: dict[TreeMonomial, int]
-    ) -> tuple | None:
-        """The pinned redex of ``m`` for a rule list whose first rule with
-        each lead is ``rank[lead]``; every such lead must be registered.
-
-        Paths compare lexicographically in preorder, so the smallest
-        ``(first vertex, rule index)`` is the first item ``occurrences``
-        would yield for that rule list.
-        """
-        best = None
-        for lead, occ in self._found(m).items():
-            idx = rank.get(lead)
-            if idx is not None and (best is None or (occ.vertex, idx) < best[:2]):
-                best = (occ.vertex, idx, occ)
-        return best
-
-
 class Reducer:
     """Normal-form computation against a fixed rule list.
 
@@ -285,9 +268,10 @@ class Reducer:
     strategy (first occurrence vertex in preorder, then first rule);
     completion reuses one reducer per iteration snapshot, so redex
     lookups are shared across all the S-polynomials of an iteration.
-    With a ``table``, cache misses are answered from that shared
-    occurrence table instead of a fresh search, for callers that reduce
-    against many short-lived rule lists over the same leads.
+    Cache misses read a ``PatternIndex``: the reducer's own, or an
+    ``index`` passed in and shared with reducers over other rule lists.
+    Leads missing from it are appended, and its positions that hold no
+    lead of this rule list are ignored.
     """
 
     def __init__(
@@ -295,31 +279,31 @@ class Reducer:
         rules: Sequence[RewriteRule],
         ord: OperationOrder,
         step_limit: int = DEFAULT_STEP_LIMIT,
-        table: OccurrenceTable | None = None,
+        index: PatternIndex | None = None,
     ):
         self.rules = tuple(rules)
-        leads = [r.lead for r in self.rules]
         self.ord = ord
         self.step_limit = step_limit
+        self._index = PatternIndex() if index is None else index
         self._first_redex: dict[TreeMonomial, tuple | None] = {}
-        self._table = table
-        self._rank: dict[TreeMonomial, int] = {}
-        if table is None:
-            self._leads: PatternIndex | list[TreeMonomial] = PatternIndex(leads)
-        else:
-            # only the randomized schedule searches the leads here
-            self._leads = leads
-            for idx, lead in enumerate(leads):
-                table.add_lead(lead)
-                self._rank.setdefault(lead, idx)
+        # index position -> first rule with the lead at that position
+        self._rank: dict[int, int] = {}
+        for idx, rule in enumerate(self.rules):
+            self._rank.setdefault(self._index.position(rule.lead), idx)
 
     def first_redex(self, m: TreeMonomial) -> tuple | None:
         """Smallest (vertex, rule index, occurrence) triple in ``m``, if any."""
         if m not in self._first_redex:
-            if self._table is None:
-                self._first_redex[m] = next(occurrences(m, self._leads), None)
-            else:
-                self._first_redex[m] = self._table.first_redex(m, self._rank)
+            redex = None
+            rank = self._rank
+            for vertex, sub, found in self._index._matched(m):
+                ranked = [rank[pos] for pos in found if pos in rank]
+                if ranked:
+                    idx = min(ranked)
+                    bindings = _match(sub, self.rules[idx].lead)
+                    redex = (vertex, idx, Occurrence(vertex, tuple(bindings)))
+                    break
+            self._first_redex[m] = redex
         return self._first_redex[m]
 
     def reduce(
@@ -363,7 +347,8 @@ class Reducer:
                 ]
                 if reducible:
                     m = rng.choice(reducible)
-                    redex = rng.choice(list(occurrences(m, self._leads)))
+                    leads = [r.lead for r in self.rules]
+                    redex = rng.choice(list(occurrences(m, leads)))
             if redex is None:
                 return TreePolynomial(terms, p.arity)
             vertex, idx, occ = redex

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import operad_gsb as og
 from operad_gsb.completion import small_common_multiples, s_polynomial
 from operad_gsb.rewriting import (
+    PatternIndex,
     ReductionError,
     Reducer,
     RewriteRule,
@@ -16,7 +17,7 @@ from operad_gsb.rewriting import (
 )
 from operad_gsb.trees import internal_vertices, replace_at
 
-from conftest import random_polynomial, random_tree
+from conftest import random_polynomial, random_rules, random_tree
 
 LEAF = og.LEAF
 
@@ -104,6 +105,29 @@ def test_occurrences_match_brute_force(seed, quad):
         if (occ := match_at(ambient, vertex, pattern)) is not None
     ]
     assert list(og.occurrences(ambient, patterns)) == expected
+
+
+@given(seed=st.integers(0, 10**9))
+@settings(max_examples=80, deadline=None)
+def test_shared_index_answers_like_a_private_one(seed, quad):
+    # the index was filled and read for another rule list, which shares
+    # some leads at other positions, and gains this list's leads after
+    rules, order = random_rules(seed, quad)
+    rng = random.Random(seed)
+    others = rng.sample(rules, rng.randint(0, len(rules)))
+    others += random_rules(seed + 1, quad)[0]
+    rng.shuffle(others)
+    monomials = [random_tree(rng, order.ranked, rng.randint(3, 6)) for _ in range(6)]
+    index = PatternIndex()
+    earlier = Reducer(others, order, index=index)
+    for m in monomials:
+        earlier.first_redex(m)
+    shared = Reducer(rules, order, index=index)
+    private = Reducer(rules, order)
+    leads = [r.lead for r in rules]
+    for m in monomials:
+        expected = next(og.occurrences(m, leads), None)
+        assert shared.first_redex(m) == private.first_redex(m) == expected
 
 
 def step(p, m, rule, occ):

@@ -1,5 +1,5 @@
-"""Final inter-reduction: ``self_reduce``, whose redex lookups go through a
-shared occurrence table, against the same restart loop built on plain
+"""Final inter-reduction: ``self_reduce``, whose reducers share one
+pattern index, against the same restart loop built on plain
 ``normal_form`` calls, plus its defining properties."""
 
 import itertools
