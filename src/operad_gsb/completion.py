@@ -158,7 +158,8 @@ def _merge(x: TreeMonomial, y: TreeMonomial) -> TreeMonomial | None:
         return y
     if y.is_leaf:
         return x
-    if x.label != y.label:
+    # names are unique within a signature; see ``rewriting._match``
+    if x.label is not y.label and x.label.name != y.label.name:
         return None
     children = []
     for cx, cy in zip(x.children, y.children):

@@ -1,8 +1,10 @@
 """Exact linear combinations of tree monomials of a common arity.
 
-Coefficients are rationals (``fractions.Fraction``); zero coefficients
-are never stored, and the zero polynomial is the empty combination with
-its arity still tracked.  All arithmetic is exact; there is no floating
+Coefficients are rationals: a plain ``int`` while the value is integral,
+a ``fractions.Fraction`` only where a division leaves a proper fraction
+(so the reduction loop runs on machine integers).  Zero coefficients are
+never stored, and the zero polynomial is the empty combination with its
+arity still tracked.  All arithmetic is exact; there is no floating
 point anywhere in this package.
 
 Text form: a signed sum of optional rational coefficients times
@@ -36,17 +38,21 @@ __all__ = [
 
 
 class TreePolynomial:
-    """A finite map from equal-arity tree monomials to nonzero rationals."""
+    """A finite map from equal-arity tree monomials to nonzero rationals,
+    each an ``int`` when integral and a ``Fraction`` otherwise."""
 
     __slots__ = ("terms", "arity")
 
-    terms: dict[TreeMonomial, Fraction]
+    terms: dict[TreeMonomial, Fraction | int]
     arity: int
 
     def __init__(self, terms: Mapping[TreeMonomial, Fraction | int], arity: int | None = None):
-        cleaned: dict[TreeMonomial, Fraction] = {}
+        cleaned: dict[TreeMonomial, Fraction | int] = {}
         for mono, coeff in terms.items():
-            coeff = Fraction(coeff)
+            if type(coeff) is not int:
+                coeff = Fraction(coeff)
+                if coeff.denominator == 1:
+                    coeff = coeff.numerator
             if coeff:
                 cleaned[mono] = coeff
         if arity is None:
@@ -73,7 +79,7 @@ class TreePolynomial:
 
     @classmethod
     def monomial(cls, t: TreeMonomial, coeff: Fraction | int = 1) -> "TreePolynomial":
-        return cls({t: Fraction(coeff)}, t.arity)
+        return cls({t: coeff}, t.arity)
 
     @property
     def is_zero(self) -> bool:
@@ -103,7 +109,7 @@ class TreePolynomial:
         """Monomials in a canonical (order-independent) iteration order."""
         return sorted(self.terms, key=format_tree)
 
-    def leading_term(self, ord: OperationOrder) -> tuple[TreeMonomial, Fraction]:
+    def leading_term(self, ord: OperationOrder) -> tuple[TreeMonomial, Fraction | int]:
         """Maximal monomial under path-lex with its coefficient."""
         if not self.terms:
             raise TreeError("zero polynomial has no leading term")
@@ -118,7 +124,8 @@ class TreePolynomial:
         _, coeff = self.leading_term(ord)
         if coeff == 1:
             return self
-        return scale(self, 1 / coeff)
+        # ``1 / coeff`` would be a float for an ``int`` coefficient
+        return scale(self, Fraction(1) / coeff)
 
     def __repr__(self) -> str:
         return f"TreePolynomial<{format_polynomial(self)}>"
@@ -142,7 +149,6 @@ def add(p: TreePolynomial, q: TreePolynomial) -> TreePolynomial:
 
 
 def scale(p: TreePolynomial, c: Fraction | int) -> TreePolynomial:
-    c = Fraction(c)
     if not c:
         return TreePolynomial.zero(p.arity)
     if c == 1:

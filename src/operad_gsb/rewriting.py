@@ -83,9 +83,12 @@ def _match(ambient: TreeMonomial, pattern: TreeMonomial) -> list[TreeMonomial] |
     if pattern.label is None:
         return [ambient]
     label = ambient.label
-    # symbols are shared objects almost always; the dataclass ``__eq__``
-    # builds two tuples, so test identity first
-    if label is None or (label is not pattern.label and label != pattern.label):
+    # names are unique within a signature; symbols are shared objects
+    # almost always, so identity decides most tests, and comparing names
+    # keeps a mismatch out of the dataclass ``__eq__`` (two tuples)
+    if label is None or (
+        label is not pattern.label and label.name != pattern.label.name
+    ):
         return None
     bindings: list[TreeMonomial] = []
     for a_child, p_child in zip(ambient.children, pattern.children):
@@ -110,8 +113,11 @@ class PatternIndex:
     (symbols are not interned, so equal ones may be distinct objects)
     hashes and compares in Python.  Patterns can be appended; indices
     never move, and a pattern appended after a subtree was read is tried
-    the next time that subtree is read.  The memo keeps every subtree it
-    has read alive for as long as the index lives.
+    the next time that subtree is read.  ``root_matches`` reads the memo
+    for one subtree: ``occurrences`` calls it at every vertex of its
+    preorder walk, and a ``Reducer`` once per subtree it has not seen.
+    The memo keeps every subtree it has read alive for as long as the
+    index lives.
     """
 
     __slots__ = ("patterns", "by_root", "_first", "_memo", "_unmatched")
@@ -146,6 +152,21 @@ class PatternIndex:
             self.append(pattern)
         return self._first[pattern]
 
+    def root_matches(self, sub: TreeMonomial) -> tuple[int, ...]:
+        """Indices, ascending, of the patterns that match at the root of
+        the internal vertex ``sub``; memoized per subtree."""
+        n = len(self.patterns)
+        entry = self._memo.get(sub)
+        if entry is None or entry[0] < n:
+            tried, found = entry or (0, ())
+            found += tuple(
+                idx
+                for idx, pattern in self.by_root.get(sub.label.name, ())
+                if idx >= tried and _match(sub, pattern) is not None
+            )
+            entry = self._memo[sub] = (n, found) if found else self._unmatched
+        return entry[1]
+
     def _matched(
         self, ambient: TreeMonomial
     ) -> Iterator[tuple[tuple[int, ...], TreeMonomial, tuple[int, ...]]]:
@@ -154,22 +175,12 @@ class PatternIndex:
         of the matching patterns ascend."""
         if ambient.label is None:
             return
-        memo, by_root, unmatched = self._memo, self.by_root, self._unmatched
-        n = len(self.patterns)
         stack = [((), ambient)]
         while stack:
             vertex, sub = stack.pop()
-            entry = memo.get(sub)
-            if entry is None or entry[0] < n:
-                tried, found = entry or (0, ())
-                found += tuple(
-                    idx
-                    for idx, pattern in by_root.get(sub.label.name, ())
-                    if idx >= tried and _match(sub, pattern) is not None
-                )
-                entry = memo[sub] = (n, found) if found else unmatched
-            if entry[1]:
-                yield vertex, sub, entry[1]
+            found = self.root_matches(sub)
+            if found:
+                yield vertex, sub, found
             children = sub.children
             for i in range(len(children) - 1, -1, -1):
                 if children[i].label is not None:
@@ -235,7 +246,7 @@ class RewriteRule:
 
 
 def add_embedding(
-    terms: dict[TreeMonomial, Fraction],
+    terms: dict[TreeMonomial, Fraction | int],
     factor: Fraction | int,
     p: TreePolynomial,
     ambient: TreeMonomial,
@@ -264,14 +275,21 @@ def add_embedding(
 class Reducer:
     """Normal-form computation against a fixed rule list.
 
-    Caches, per monomial, the first redex under the deterministic
-    strategy (first occurrence vertex in preorder, then first rule);
-    completion reuses one reducer per iteration snapshot, so redex
-    lookups are shared across all the S-polynomials of an iteration.
-    Cache misses read a ``PatternIndex``: the reducer's own, or an
-    ``index`` passed in and shared with reducers over other rule lists.
-    Leads missing from it are appended, and its positions that hold no
-    lead of this rule list are ignored.
+    Caches, per subtree, the first redex under the deterministic
+    strategy (first occurrence vertex in preorder, then first rule).  A
+    tree's first redex is its root's first-ranked match if there is one,
+    else the first redex of its first child that has one, with that
+    child's index put in front of the vertex.  Trees are hash-consed, so
+    the image of a rewrite step shares every subtree off the rewritten
+    path with the tree it came from: looking it up costs one miss per
+    new vertex (the rewritten vertex's ancestors and the grafted tail),
+    not a walk over the whole tree.  Completion reuses one reducer per
+    iteration snapshot, so the cache is shared across all the
+    S-polynomials of an iteration.  Root matches are read from a
+    ``PatternIndex``: the reducer's own, or an ``index`` passed in and
+    shared with reducers over other rule lists.  Leads missing from it
+    are appended, and its positions that hold no lead of this rule list
+    are ignored.
     """
 
     def __init__(
@@ -293,18 +311,32 @@ class Reducer:
 
     def first_redex(self, m: TreeMonomial) -> tuple | None:
         """Smallest (vertex, rule index, occurrence) triple in ``m``, if any."""
-        if m not in self._first_redex:
-            redex = None
-            rank = self._rank
-            for vertex, sub, found in self._index._matched(m):
-                ranked = [rank[pos] for pos in found if pos in rank]
-                if ranked:
-                    idx = min(ranked)
-                    bindings = _match(sub, self.rules[idx].lead)
-                    redex = (vertex, idx, Occurrence(vertex, tuple(bindings)))
-                    break
-            self._first_redex[m] = redex
-        return self._first_redex[m]
+        if m.label is None:
+            return None
+        return self._redex(m)
+
+    def _redex(self, m: TreeMonomial) -> tuple | None:
+        # the preorder search, one frame per level: the root's ranked
+        # match, else the first child's first redex, one level down
+        memo = self._first_redex
+        if m in memo:
+            return memo[m]
+        redex = None
+        rank = self._rank
+        ranked = [rank[pos] for pos in self._index.root_matches(m) if pos in rank]
+        if ranked:
+            idx = min(ranked)
+            redex = ((), idx, Occurrence((), tuple(_match(m, self.rules[idx].lead))))
+        else:
+            for i, child in enumerate(m.children):
+                if child.label is not None:
+                    below = self._redex(child)
+                    if below is not None:
+                        vertex = (i,) + below[0]
+                        redex = (vertex, below[1], Occurrence(vertex, below[2].bindings))
+                        break
+        memo[m] = redex
+        return redex
 
     def reduce(
         self,

@@ -100,8 +100,8 @@ class Signature:
 
 
 # Deepest vertex nesting of any tree.  The recursive helpers
-# (``_graft``, ``replace_at``, ``format_tree``, ``path_words`` and the
-# matcher) use at most two frames per level, so trees this deep stay well
+# (``_graft``, ``replace_at``, ``format_tree``, ``path_words``, the
+# matcher and ``Reducer.first_redex``) use at most two frames per level, so trees this deep stay well
 # under Python's default recursion limit of 1000 frames.
 MAX_TREE_DEPTH = 300
 

@@ -76,6 +76,72 @@ def test_leading_of_sum_bounded(seed, dend, dend_up):
     assert key(s.leading_monomial(dend_up)) <= bound
 
 
+def _coefficients_are_exact(p):
+    """Every stored coefficient is an ``int``, or a ``Fraction`` that is
+    not integral; never a ``float``."""
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator > 1)
+        for c in p.terms.values()
+    )
+
+
+def _reference(terms):
+    """A term map with every coefficient a ``Fraction``, zeros dropped."""
+    return {m: Fraction(c) for m, c in terms.items() if c}
+
+
+@given(seed=st.integers(0, 10**9))
+def test_arithmetic_matches_a_fraction_reference(seed, quad, quad_cbda):
+    # integral coefficients stay ``int`` through add, scale, negation and
+    # make_monic, and every value equals all-``Fraction`` arithmetic
+    rng = random.Random(seed)
+    syms = quad.signature.symbols
+    arity = rng.randint(2, 4)
+
+    def draw():
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            c = Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
+            # pass integral values both as ``int`` and as ``Fraction``
+            if c.denominator == 1 and rng.random() < 0.5:
+                c = int(c)
+            terms[random_tree(rng, syms, arity)] = c
+        return terms
+
+    pt, qt = draw(), draw()
+    p, q = og.TreePolynomial(pt, arity), og.TreePolynomial(qt, arity)
+    c = Fraction(rng.randint(-4, 4), rng.choice([1, 2, 5]))
+    ref_p, ref_q = _reference(pt), _reference(qt)
+    ref_sum = dict(ref_p)
+    for m, k in ref_q.items():
+        ref_sum[m] = ref_sum.get(m, 0) + k
+    cases = [
+        (p, ref_p),
+        (add(p, q), _reference(ref_sum)),
+        (p - q, _reference({m: ref_p.get(m, 0) - ref_q.get(m, 0) for m in {*ref_p, *ref_q}})),
+        (-p, _reference({m: -k for m, k in ref_p.items()})),
+        (scale(p, c), _reference({m: k * c for m, k in ref_p.items()})),
+        (scale(p, int(c)), _reference({m: k * int(c) for m, k in ref_p.items()})),
+    ]
+    if ref_p:
+        lead = max(ref_p, key=quad_cbda.monomial_key)
+        monic = {m: k / ref_p[lead] for m, k in ref_p.items()}
+        cases.append((p.make_monic(quad_cbda), monic))
+    for got, expected in cases:
+        assert got.terms == expected
+        assert _coefficients_are_exact(got)
+
+
+def test_make_monic_divides_exactly(quad, quad_cbda):
+    a, b, c, d = quad.signature.symbols
+    lead, tail = L(a, a), L(c, c)
+    assert quad_cbda.monomial_key(lead) > quad_cbda.monomial_key(tail)
+    monic = og.TreePolynomial({lead: 3, tail: 1}).make_monic(quad_cbda)
+    assert monic.terms[lead] == 1 and type(monic.terms[lead]) is int
+    assert monic.terms[tail] == Fraction(1, 3)
+    assert type(monic.terms[tail]) is Fraction
+
+
 def test_parse_polynomial(dend):
     sig = dend.signature
     p = og.parse_polynomial(

@@ -15,7 +15,7 @@ from operad_gsb.rewriting import (
     add_embedding,
     match_at,
 )
-from operad_gsb.trees import internal_vertices, replace_at
+from operad_gsb.trees import MAX_TREE_DEPTH, internal_vertices, replace_at, subtree_at
 
 from conftest import random_polynomial, random_rules, random_tree
 
@@ -128,6 +128,46 @@ def test_shared_index_answers_like_a_private_one(seed, quad):
     for m in monomials:
         expected = next(og.occurrences(m, leads), None)
         assert shared.first_redex(m) == private.first_redex(m) == expected
+
+
+@given(seed=st.integers(0, 10**9))
+@settings(max_examples=80, deadline=None)
+def test_first_redex_after_warm_subtrees(seed, quad):
+    # the memo answers a tree from its subtrees' answers: warming them in
+    # any order must not change the tree's own
+    rules, order = random_rules(seed, quad)
+    rng = random.Random(seed)
+    leads = [r.lead for r in rules]
+    # leads grafted under a random tree, so that several children hold one
+    outer = random_tree(rng, order.ranked, rng.randint(2, 4))
+    m = og.graft(outer, [rng.choice([*leads, LEAF]) for _ in range(outer.arity)])
+    subtrees = [subtree_at(m, v) for v in internal_vertices(m)]
+    rng.shuffle(subtrees)
+    warm = Reducer(rules, order)
+    for sub in rng.sample(subtrees, rng.randint(0, len(subtrees))):
+        warm.first_redex(sub)
+    expected = next(og.occurrences(m, leads), None)
+    assert warm.first_redex(m) == Reducer(rules, order).first_redex(m) == expected
+    for sub in subtrees:
+        assert warm.first_redex(sub) == next(og.occurrences(sub, leads), None)
+
+
+def test_first_redex_at_max_depth(quad):
+    # the search recurses once per level; the deepest tree must not
+    # exhaust the interpreter's stack, with or without a redex
+    a, b, c, d = quad.signature.symbols
+    lead = L(b, c)
+    rule = RewriteRule(lead, og.TreePolynomial.zero(lead.arity))
+    order = og.OperationOrder((a, b, c, d))
+    for bottom, found in ((lead, True), (L(c, b), False)):
+        deep = bottom
+        while deep.depth < MAX_TREE_DEPTH:
+            deep = og.node(a, deep, LEAF)
+        redex = Reducer([rule], order).first_redex(deep)
+        if found:
+            assert redex[:2] == ((0,) * (MAX_TREE_DEPTH - 2), 0)
+        else:
+            assert redex is None
 
 
 def step(p, m, rule, occ):
