@@ -19,7 +19,6 @@ from .completion import (
     small_common_multiples,
 )
 from .enumeration import (
-    DimensionReport,
     catalan,
     count_normal,
     dimension_by_linear_algebra,
@@ -63,7 +62,6 @@ __all__ = [
     "s_polynomial",
     "self_reduce",
     "small_common_multiples",
-    "DimensionReport",
     "catalan",
     "count_normal",
     "dimension_by_linear_algebra",

@@ -28,9 +28,7 @@ from .completion import (
     complete,
 )
 from .enumeration import (
-    DIMENSION_TABLE_HEADER,
     ORACLE_GUARD,
-    DimensionReport,
     catalan,
     count_normal,
     count_tree_monomials,
@@ -249,23 +247,24 @@ def _cmd_count(args) -> int:
     if report.status != STATUS_CONFIRMED:
         sys.stderr.write(f"warning: basis not confirmed ({report.status})\n")
     formula = _formula_for(pres)
-    reports = []
+    rows = []
     for n in range(1, args.n_max + 1):
         oracle = None
         if n <= args.oracle_max and count_tree_monomials(pres.signature, n) <= ORACLE_GUARD:
             oracle = dimension_by_linear_algebra(pres, n)
-        reports.append(
-            DimensionReport(
-                arity=n,
-                normal_count=count_normal(basis, n),
-                formula_value=formula(n) if formula else None,
-                oracle_value=oracle,
-            )
-        )
+        rows.append({
+            "arity": n,
+            "normal_count": count_normal(basis, n),
+            "formula_value": formula(n) if formula else None,
+            "oracle_value": oracle,
+        })
     if args.format == "json":
-        _emit(json.dumps([r.to_json_dict() for r in reports], indent=2), args.out)
+        _emit(json.dumps(rows, indent=2), args.out)
     else:
-        lines = [DIMENSION_TABLE_HEADER] + [r.text_row() for r in reports]
+        # a missing formula or oracle value prints as "-"
+        cells = [("arity", "normal", "formula", "oracle")]
+        cells += [["-" if v is None else v for v in row.values()] for row in rows]
+        lines = ["  ".join(f"{c:>{w}}" for c, w in zip(r, (5, 12, 12, 12))) for r in cells]
         _emit("\n".join(lines), args.out)
     return 0
 

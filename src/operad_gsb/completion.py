@@ -12,8 +12,8 @@ once after the loop terminates.
 Self-reduction is the plain loop "normal-form each rule modulo the
 others; on the first change, start again from the top".  The reducers
 of one call share a pattern index, whose memo of the leads matching at
-each subtree's root never goes stale: a lead is a pattern at a fixed
-position, and the rules that leave the list only leave positions unread.
+each subtree's root never goes stale: a lead matches a subtree or not
+whichever rules hold it, and each reducer reads only its own leads.
 
 Enumeration is over ordered pairs: ``small_common_multiples(f, g)`` lists
 the multiples where ``f`` embeds at or inside the root occurrence of
@@ -347,12 +347,9 @@ def complete(
     for _ in range(cfg.max_iterations):
         records, skipped = _check_compositions(rules, ord, cfg, first_new)
         arity_skipped = arity_skipped or skipped
-        survivors: list[TreePolynomial] = []
-        for rec in records:
-            if rec.normal_form:
-                monic = rec.normal_form.make_monic(ord)
-                if monic not in survivors:
-                    survivors.append(monic)
+        survivors = list(dict.fromkeys(
+            rec.normal_form.make_monic(ord) for rec in records if rec.normal_form
+        ))
         first_new = len(rules)
         rules = rules + tuple(RewriteRule.from_polynomial(s, ord) for s in survivors)
         iterations.append(

@@ -11,7 +11,6 @@ elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd
 from typing import Iterable
@@ -19,11 +18,10 @@ from typing import Iterable
 from .completion import GSBasis
 from .polynomials import TreePolynomial
 from .presets import Presentation
-from .rewriting import PatternIndex, is_normal_monomial
+from .rewriting import is_normal_monomial
 from .trees import LEAF, Signature, TreeError, TreeMonomial, graft, internal_vertices, subtree_at
 
 __all__ = [
-    "DimensionReport",
     "catalan",
     "quadri_dim",
     "all_tree_monomials",
@@ -124,7 +122,7 @@ def enumerate_normal(basis: GSBasis, n: int) -> list[TreeMonomial]:
     sig = basis.order.signature
     _require_binary(sig)
     _guard(sig, n, "enumeration")
-    leads = PatternIndex(basis.leads)
+    leads = basis.leads
     normal = [
         t for t in all_tree_monomials(sig, n) if is_normal_monomial(t, leads)
     ]
@@ -253,34 +251,3 @@ def _integer_rank(rows: list[dict[int, int]]) -> int:
                     new.pop(k, None)
             row = _normalize_row(new)
     return rank
-
-
-@dataclass(frozen=True)
-class DimensionReport:
-    """One arity's worth of agreeing (or disagreeing) dimension counts."""
-
-    arity: int
-    normal_count: int
-    formula_value: int | None = None
-    oracle_value: int | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "arity": self.arity,
-            "normal_count": self.normal_count,
-            "formula_value": self.formula_value,
-            "oracle_value": self.oracle_value,
-        }
-
-    def text_row(self) -> str:
-        formula = "-" if self.formula_value is None else str(self.formula_value)
-        oracle = "-" if self.oracle_value is None else str(self.oracle_value)
-        return (
-            f"{self.arity:>5}  {self.normal_count:>12}  "
-            f"{formula:>12}  {oracle:>12}"
-        )
-
-
-DIMENSION_TABLE_HEADER = (
-    f"{'arity':>5}  {'normal':>12}  {'formula':>12}  {'oracle':>12}"
-)

@@ -116,9 +116,6 @@ class TreePolynomial:
         lead = max(self.terms, key=ord.monomial_key)
         return lead, self.terms[lead]
 
-    def leading_monomial(self, ord: OperationOrder) -> TreeMonomial:
-        return self.leading_term(ord)[0]
-
     def make_monic(self, ord: OperationOrder) -> "TreePolynomial":
         """Scale so the leading coefficient becomes exactly 1."""
         _, coeff = self.leading_term(ord)
@@ -164,14 +161,14 @@ def parse_polynomial(text: str, sig: Signature) -> TreePolynomial:
     tokens = _tokenize(text)
     if not tokens:
         raise TreeParseError("empty polynomial", 0)
-    terms: dict[TreeMonomial, Fraction] = {}
+    terms: dict[TreeMonomial, Fraction | int] = {}
     arity: int | None = None
     i = 0
     while i < len(tokens):
-        sign = Fraction(1)
+        sign = 1
         tok, pos = tokens[i]
         if tok in ("+", "-"):
-            sign = Fraction(-1) if tok == "-" else Fraction(1)
+            sign = -1 if tok == "-" else 1
             i += 1
         elif i > 0:
             raise TreeParseError(f"expected '+' or '-' between terms, got {tok!r}", pos)
@@ -183,7 +180,7 @@ def parse_polynomial(text: str, sig: Signature) -> TreePolynomial:
             raise TreeParseError(
                 f"term of arity {tree.arity} in arity-{arity} polynomial", pos
             )
-        value = terms.get(tree, Fraction(0)) + sign * coeff
+        value = terms.get(tree, 0) + sign * coeff
         if value:
             terms[tree] = value
         else:
@@ -192,8 +189,9 @@ def parse_polynomial(text: str, sig: Signature) -> TreePolynomial:
     return TreePolynomial(terms, arity)
 
 
-def _parse_coefficient(tokens, i: int) -> tuple[Fraction, int]:
-    """The optional ``n`` or ``n/d`` at ``tokens[i]`` and the index past it."""
+def _parse_coefficient(tokens, i: int) -> tuple[Fraction | int, int]:
+    """The optional ``n`` or ``n/d`` at ``tokens[i]`` and the index past it;
+    a ``Fraction`` only for ``n/d``."""
     if i < len(tokens) and _INT_RE.match(tokens[i][0]):
         num = int(tokens[i][0])
         i += 1
@@ -202,8 +200,8 @@ def _parse_coefficient(tokens, i: int) -> tuple[Fraction, int]:
             if den == 0:
                 raise TreeParseError("zero denominator", tokens[i + 1][1])
             return Fraction(num, den), i + 2
-        return Fraction(num), i
-    return Fraction(1), i
+        return num, i
+    return 1, i
 
 
 def format_polynomial(p: TreePolynomial, ord: OperationOrder | None = None) -> str:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .ordering import OperationOrder
 from .polynomials import TreePolynomial, add
@@ -100,115 +100,93 @@ def _match(ambient: TreeMonomial, pattern: TreeMonomial) -> list[TreeMonomial] |
 
 
 class PatternIndex:
-    """Patterns grouped by root label, each group in list order, plus a
-    memo of which patterns match at the root of each subtree read.
+    """The leads of a set of reducers, grouped by root label, plus a memo of
+    which leads match at the root of each subtree read.
 
-    Trees are hash-consed, so the patterns matching at a vertex depend on
-    the vertex's subtree alone: one memo, keyed by subtree, serves every
-    tree that contains it and every search that reads the index (the
-    bottom-up view of Hoffmann and O'Donnell, "Pattern matching in
-    trees", JACM 29(1), 1982).  A subtree is matched only against the
-    patterns with its root label.  Groups are keyed on the label's name:
-    a ``str`` hashes and compares in C, where an ``OperationSymbol``
-    (symbols are not interned, so equal ones may be distinct objects)
-    hashes and compares in Python.  Patterns can be appended; indices
-    never move, and a pattern appended after a subtree was read is tried
-    the next time that subtree is read.  ``root_matches`` reads the memo
-    for one subtree: ``occurrences`` calls it at every vertex of its
-    preorder walk, and a ``Reducer`` once per subtree it has not seen.
+    Trees are hash-consed, so the leads matching at a vertex depend on the
+    vertex's subtree alone: one memo, keyed by subtree, serves every tree
+    that contains it and every reducer that reads the index (the bottom-up
+    view of Hoffmann and O'Donnell, "Pattern matching in trees", JACM
+    29(1), 1982).  The leads are trees too, so they key themselves.  A
+    subtree is matched only against the leads with its root label.  Groups
+    are keyed on the label's name: a ``str`` hashes and compares in C,
+    where an ``OperationSymbol`` (symbols are not interned, so equal ones
+    may be distinct objects) hashes and compares in Python.  A lead added
+    after a subtree was read is tried the next time that subtree is read.
     The memo keeps every subtree it has read alive for as long as the
     index lives.
     """
 
-    __slots__ = ("patterns", "by_root", "_first", "_memo", "_unmatched")
+    __slots__ = ("by_root", "_leads", "_memo", "_unmatched")
 
-    def __init__(self, patterns: Iterable[TreeMonomial] = ()):
-        self.patterns: list[TreeMonomial] = []
+    def __init__(self) -> None:
+        # root-label name -> (leads added before it, lead), in order added
         self.by_root: dict[str, list[tuple[int, TreeMonomial]]] = {}
-        # pattern -> its first index
-        self._first: dict[TreeMonomial, int] = {}
-        # subtree -> (patterns tried, indices of those that match at its root)
-        self._memo: dict[TreeMonomial, tuple[int, tuple[int, ...]]] = {}
-        # the memo entry of every subtree that no pattern matches, shared
+        self._leads: set[TreeMonomial] = set()
+        # subtree -> (leads tried, the leads that match at its root)
+        self._memo: dict[TreeMonomial, tuple[int, tuple[TreeMonomial, ...]]] = {}
+        # the memo entry of every subtree that no lead matches, shared
         # because most subtrees are such
-        self._unmatched: tuple[int, tuple[int, ...]] = (0, ())
-        for pattern in patterns:
-            self.append(pattern)
+        self._unmatched: tuple[int, tuple[TreeMonomial, ...]] = (0, ())
 
-    def append(self, pattern: TreeMonomial) -> None:
-        """Add a pattern at the next index; a bare leaf is rejected, as it
-        would match everywhere."""
-        if pattern.label is None:
-            raise TreeError("leaf pattern would occur at every vertex")
-        idx = len(self.patterns)
-        self.by_root.setdefault(pattern.label.name, []).append((idx, pattern))
-        self.patterns.append(pattern)
-        self._first.setdefault(pattern, idx)
-        self._unmatched = (idx + 1, ())
+    def add(self, lead: TreeMonomial) -> None:
+        """Add a rule lead, which has an internal vertex; a lead already
+        present is ignored."""
+        if lead in self._leads:
+            return
+        n = len(self._leads)
+        self._leads.add(lead)
+        self.by_root.setdefault(lead.label.name, []).append((n, lead))
+        self._unmatched = (n + 1, ())
 
-    def position(self, pattern: TreeMonomial) -> int:
-        """The first index of ``pattern``, appended first if it is absent."""
-        if pattern not in self._first:
-            self.append(pattern)
-        return self._first[pattern]
-
-    def root_matches(self, sub: TreeMonomial) -> tuple[int, ...]:
-        """Indices, ascending, of the patterns that match at the root of
-        the internal vertex ``sub``; memoized per subtree."""
-        n = len(self.patterns)
+    def root_matches(self, sub: TreeMonomial) -> tuple[TreeMonomial, ...]:
+        """The leads that match at the root of the internal vertex ``sub``;
+        memoized per subtree."""
+        n = len(self._leads)
         entry = self._memo.get(sub)
         if entry is None or entry[0] < n:
             tried, found = entry or (0, ())
             found += tuple(
-                idx
-                for idx, pattern in self.by_root.get(sub.label.name, ())
-                if idx >= tried and _match(sub, pattern) is not None
+                lead
+                for k, lead in self.by_root.get(sub.label.name, ())
+                if k >= tried and _match(sub, lead) is not None
             )
             entry = self._memo[sub] = (n, found) if found else self._unmatched
         return entry[1]
 
-    def _matched(
-        self, ambient: TreeMonomial
-    ) -> Iterator[tuple[tuple[int, ...], TreeMonomial, tuple[int, ...]]]:
-        """Yield ``(vertex, subtree, indices)`` for every vertex of
-        ``ambient`` at which a pattern matches, in preorder; the indices
-        of the matching patterns ascend."""
-        if ambient.label is None:
-            return
-        stack = [((), ambient)]
-        while stack:
-            vertex, sub = stack.pop()
-            found = self.root_matches(sub)
-            if found:
-                yield vertex, sub, found
-            children = sub.children
-            for i in range(len(children) - 1, -1, -1):
-                if children[i].label is not None:
-                    stack.append((vertex + (i,), children[i]))
-
 
 def occurrences(
-    ambient: TreeMonomial, patterns: Sequence[TreeMonomial] | PatternIndex
+    ambient: TreeMonomial, patterns: Sequence[TreeMonomial]
 ) -> Iterator[tuple[tuple[int, ...], int, Occurrence]]:
     """Yield ``(vertex, pattern index, occurrence)`` for every embedding.
 
-    One preorder walk over the index's root-match memo: vertices come in
-    preorder and, at each vertex, patterns in list order, so the first
-    item is the pinned redex.  Callers that search many trees for the
-    same patterns pass a prebuilt ``PatternIndex``.  Every pattern needs
-    an internal vertex; a bare leaf would match everywhere and is
-    rejected.
+    One preorder walk that matches each vertex against the patterns with
+    its root label: vertices come in preorder and, at each vertex,
+    patterns in list order, so the first item is the pinned redex.  Every
+    pattern needs an internal vertex; a bare leaf would match everywhere
+    and is rejected.
     """
-    index = patterns if isinstance(patterns, PatternIndex) else PatternIndex(patterns)
-    for vertex, sub, found in index._matched(ambient):
-        for idx in found:
-            bindings = _match(sub, index.patterns[idx])
-            yield vertex, idx, Occurrence(vertex, tuple(bindings))
+    by_root: dict[str, list[tuple[int, TreeMonomial]]] = {}
+    for idx, pattern in enumerate(patterns):
+        if pattern.label is None:
+            raise TreeError("leaf pattern would occur at every vertex")
+        by_root.setdefault(pattern.label.name, []).append((idx, pattern))
+    if ambient.label is None:
+        return
+    stack = [((), ambient)]
+    while stack:
+        vertex, sub = stack.pop()
+        for idx, pattern in by_root.get(sub.label.name, ()):
+            bindings = _match(sub, pattern)
+            if bindings is not None:
+                yield vertex, idx, Occurrence(vertex, tuple(bindings))
+        children = sub.children
+        for i in range(len(children) - 1, -1, -1):
+            if children[i].label is not None:
+                stack.append((vertex + (i,), children[i]))
 
 
-def is_normal_monomial(
-    t: TreeMonomial, leads: Sequence[TreeMonomial] | PatternIndex
-) -> bool:
+def is_normal_monomial(t: TreeMonomial, leads: Sequence[TreeMonomial]) -> bool:
     """True iff no lead occurs anywhere in ``t``."""
     return next(occurrences(t, leads), None) is None
 
@@ -287,9 +265,8 @@ class Reducer:
     iteration snapshot, so the cache is shared across all the
     S-polynomials of an iteration.  Root matches are read from a
     ``PatternIndex``: the reducer's own, or an ``index`` passed in and
-    shared with reducers over other rule lists.  Leads missing from it
-    are appended, and its positions that hold no lead of this rule list
-    are ignored.
+    shared with reducers over other rule lists.  The reducer adds its
+    leads to it and ignores the leads of other lists.
     """
 
     def __init__(
@@ -304,10 +281,11 @@ class Reducer:
         self.step_limit = step_limit
         self._index = PatternIndex() if index is None else index
         self._first_redex: dict[TreeMonomial, tuple | None] = {}
-        # index position -> first rule with the lead at that position
-        self._rank: dict[int, int] = {}
+        # lead -> first rule with that lead
+        self._rank: dict[TreeMonomial, int] = {}
         for idx, rule in enumerate(self.rules):
-            self._rank.setdefault(self._index.position(rule.lead), idx)
+            self._rank.setdefault(rule.lead, idx)
+            self._index.add(rule.lead)
 
     def first_redex(self, m: TreeMonomial) -> tuple | None:
         """Smallest (vertex, rule index, occurrence) triple in ``m``, if any."""
@@ -323,7 +301,7 @@ class Reducer:
             return memo[m]
         redex = None
         rank = self._rank
-        ranked = [rank[pos] for pos in self._index.root_matches(m) if pos in rank]
+        ranked = [rank[lead] for lead in self._index.root_matches(m) if lead in rank]
         if ranked:
             idx = min(ranked)
             redex = ((), idx, Occurrence((), tuple(_match(m, self.rules[idx].lead))))

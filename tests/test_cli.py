@@ -156,6 +156,29 @@ def test_count_single_row(capsys):
     assert lines[1].split() == ["1", "1", "1", "1"]
 
 
+def test_count_layout_pinned(capsys):
+    # arities above --oracle-max print "-" in text and null in JSON
+    argv = ("count", "--preset", "dendriform", "--order", "prec<succ",
+            "--n-max", "6", "--oracle-max", "4")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (
+        "arity        normal       formula        oracle\n"
+        "    1             1             1             1\n"
+        "    2             2             2             2\n"
+        "    3             5             5             5\n"
+        "    4            14            14            14\n"
+        "    5            42            42             -\n"
+        "    6           132           132             -\n"
+    )
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    rows = [(1, 1, 1, 1), (2, 2, 2, 2), (3, 5, 5, 5), (4, 14, 14, 14),
+            (5, 42, 42, None), (6, 132, 132, None)]
+    keys = ("arity", "normal_count", "formula_value", "oracle_value")
+    assert out == json.dumps([dict(zip(keys, r)) for r in rows], indent=2) + "\n"
+
+
 def test_table1_quadri_iteration_one(capsys):
     code, out, _ = run(
         capsys, "table1", "--preset", "quadri", "--max-iterations", "1",

@@ -201,7 +201,7 @@ def test_iteration_one_count_matches_chain_formula(quad):
     # (outer second letter == inner root letter) chain matches
     for perm in itertools.permutations("abcd"):
         order = og.OperationOrder.from_string("<".join(perm), quad.signature)
-        leads = [r.make_monic(order).leading_monomial(order) for r in quad.relations]
+        leads = [r.make_monic(order).leading_term(order)[0] for r in quad.relations]
         roots = [t.label.name for t in leads]
         seconds = [t.children[0].label.name for t in leads]
         expected = sum(

@@ -58,7 +58,7 @@ def test_leading_monomial_of_set():
     o = og.OperationOrder.from_string("c<b<d<a", SIG4)
 
     def lead(monos):
-        return og.TreePolynomial(dict.fromkeys(monos, 1)).leading_monomial(o)
+        return og.TreePolynomial(dict.fromkeys(monos, 1)).leading_term(o)[0]
 
     # the quadri leads under c<b<d<a
     assert lead([L(B, B), L(B, C), R(B, B), R(B, A)]) == L(B, B)
@@ -66,7 +66,7 @@ def test_leading_monomial_of_set():
     t = L(C, C)
     assert lead([t]) == t
     with pytest.raises(og.TreeError):
-        og.TreePolynomial.zero(3).leading_monomial(o)
+        og.TreePolynomial.zero(3).leading_term(o)[0]
     with pytest.raises(og.TreeError):
         og.TreePolynomial({t: 1, LEAF: 1})
 

@@ -72,8 +72,8 @@ def test_leading_of_sum_bounded(seed, dend, dend_up):
     if s.is_zero:
         return
     key = dend_up.monomial_key
-    bound = max(key(p.leading_monomial(dend_up)), key(q.leading_monomial(dend_up)))
-    assert key(s.leading_monomial(dend_up)) <= bound
+    bound = max(key(p.leading_term(dend_up)[0]), key(q.leading_term(dend_up)[0]))
+    assert key(s.leading_term(dend_up)[0]) <= bound
 
 
 def _coefficients_are_exact(p):

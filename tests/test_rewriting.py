@@ -111,9 +111,15 @@ def test_occurrences_match_brute_force(seed, quad):
 @settings(max_examples=80, deadline=None)
 def test_shared_index_answers_like_a_private_one(seed, quad):
     # the index was filled and read for another rule list, which shares
-    # some leads at other positions, and gains this list's leads after
+    # some leads, and gains this list's leads after.  The list repeats a
+    # lead, and the first rule with it must win.  A lead added after all
+    # those reads must reach the reducers that hold it, and no other.
     rules, order = random_rules(seed, quad)
     rng = random.Random(seed)
+    twin = rng.choice(rules).lead
+    rules.insert(
+        rng.randint(0, len(rules)), RewriteRule(twin, og.TreePolynomial.zero(twin.arity))
+    )
     others = rng.sample(rules, rng.randint(0, len(rules)))
     others += random_rules(seed + 1, quad)[0]
     rng.shuffle(others)
@@ -122,12 +128,16 @@ def test_shared_index_answers_like_a_private_one(seed, quad):
     earlier = Reducer(others, order, index=index)
     for m in monomials:
         earlier.first_redex(m)
-    shared = Reducer(rules, order, index=index)
-    private = Reducer(rules, order)
-    leads = [r.lead for r in rules]
-    for m in monomials:
-        expected = next(og.occurrences(m, leads), None)
-        assert shared.first_redex(m) == private.first_redex(m) == expected
+    m = rng.choice(monomials)
+    late = subtree_at(m, rng.choice(list(internal_vertices(m))))
+    late_rule = RewriteRule(late, og.TreePolynomial.zero(late.arity))
+    for rule_list in (rules, rules + [late_rule], others):
+        shared = Reducer(rule_list, order, index=index)
+        private = Reducer(rule_list, order)
+        leads = [r.lead for r in rule_list]
+        for m in monomials:
+            expected = next(og.occurrences(m, leads), None)
+            assert shared.first_redex(m) == private.first_redex(m) == expected
 
 
 @given(seed=st.integers(0, 10**9))
