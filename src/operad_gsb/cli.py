@@ -275,10 +275,10 @@ def _sweep_orders(pres: Presentation) -> list[str]:
 
 
 def _sweep_one(payload: tuple) -> dict:
-    source, order_text, caps = payload
+    source, order_text, cfg = payload
     pres = parse_presentation(*source)
     ord = OperationOrder.from_string(order_text, pres.signature)
-    _, report = complete(pres.relations, ord, CompletionConfig(*caps))
+    _, report = complete(pres.relations, ord, cfg)
     return report.to_json_dict(ord)
 
 
@@ -303,8 +303,8 @@ def _cmd_table1(args) -> int:
     if not pres.signature.is_binary:
         raise UsageError("order sweep needs a binary presentation")
     orders = _sweep_orders(pres)
-    caps = (args.max_iterations, args.max_arity, args.step_limit)
-    payloads = [(source, order, caps) for order in orders]
+    cfg = _config(args)
+    payloads = [(source, order, cfg) for order in orders]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_sweep_one, payloads))

@@ -43,9 +43,9 @@ from .trees import (
     TreeMonomial,
     format_tree,
     graft,
-    internal_vertices,
     replace_at,
     subtree_at,
+    subtrees,
 )
 
 __all__ = [
@@ -92,14 +92,18 @@ class CompletionConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One completion round: how many compositions, survivors, additions."""
+    """One completion round: its compositions and the normal forms added."""
 
     compositions: int
-    nonzero: int
     added: tuple[TreePolynomial, ...]
 
     def __post_init__(self) -> None:
-        assert self.compositions >= self.nonzero >= len(self.added)
+        assert self.compositions >= len(self.added)
+
+    @property
+    def nonzero(self) -> int:
+        # each distinct monic nonzero normal form is counted once and added
+        return len(self.added)
 
 
 @dataclass(frozen=True)
@@ -158,8 +162,7 @@ def _merge(x: TreeMonomial, y: TreeMonomial) -> TreeMonomial | None:
         return y
     if y.is_leaf:
         return x
-    # names are unique within a signature; see ``rewriting._match``
-    if x.label is not y.label and x.label.name != y.label.name:
+    if x.label is not y.label:
         return None
     children = []
     for cx, cy in zip(x.children, y.children):
@@ -178,8 +181,8 @@ def _enumerate_scms(
         raise TreeError("leads must have at least one internal vertex")
     out: list[SmallCommonMultiple] = []
     skipped = 0
-    for p in internal_vertices(g_lead):
-        inner = _merge(subtree_at(g_lead, p), f_lead)
+    for p, sub in subtrees(g_lead):
+        inner = _merge(sub, f_lead)
         if inner is None:
             continue
         merged = replace_at(g_lead, p, inner)
@@ -273,8 +276,8 @@ def _validate_input(relations: Sequence[TreePolynomial], ord: OperationOrder) ->
         if rel.is_zero:
             raise TreeError("zero relation in completion input")
         for mono in rel.terms:
-            for v in internal_vertices(mono):
-                ord.rank(subtree_at(mono, v).label)
+            for _, sub in subtrees(mono):
+                ord.rank(sub.label)
 
 
 @dataclass(frozen=True)
@@ -352,9 +355,7 @@ def complete(
         ))
         first_new = len(rules)
         rules = rules + tuple(RewriteRule.from_polynomial(s, ord) for s in survivors)
-        iterations.append(
-            IterationRecord(len(records), len(survivors), tuple(survivors))
-        )
+        iterations.append(IterationRecord(len(records), tuple(survivors)))
         pair_log.append([
             (rec.outer_index, rec.inner_index, rec.scm, not rec.normal_form.is_zero)
             for rec in records

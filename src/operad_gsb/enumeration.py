@@ -19,7 +19,7 @@ from .completion import GSBasis
 from .polynomials import TreePolynomial
 from .presets import Presentation
 from .rewriting import is_normal_monomial
-from .trees import LEAF, Signature, TreeError, TreeMonomial, graft, internal_vertices, subtree_at
+from .trees import LEAF, Signature, TreeError, TreeMonomial, graft, subtrees
 
 __all__ = [
     "catalan",
@@ -135,7 +135,7 @@ def count_normal(basis: GSBasis, n: int) -> int:
     automaton whose patterns are the internal subtrees of the leads.
 
     A tree's state is the set of patterns that match at its root: ``p``
-    matches ``(f l r)`` when ``p.label == f`` and each child of ``p`` is
+    matches ``(f l r)`` when ``p.label is f`` and each child of ``p`` is
     a leaf or lies in the state of the matching child of the tree.  A
     tree is normal when its children are normal and its state holds no
     lead, so the normal trees of each arity are counted by root state,
@@ -149,8 +149,7 @@ def count_normal(basis: GSBasis, n: int) -> int:
     # root label -> the internal subtrees of the leads with that label
     patterns = {s: set() for s in sig.symbols}
     for lead in leads:
-        for v in internal_vertices(lead):
-            p = subtree_at(lead, v)
+        for _, p in subtrees(lead):
             patterns[p.label].add(p)
     # count[m][state]: normal trees of arity m whose root state is state
     count: list[dict[frozenset, int]] = [{}, {frozenset(): 1}]

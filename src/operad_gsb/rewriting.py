@@ -29,7 +29,8 @@ from typing import Iterator, Sequence
 from .ordering import OperationOrder
 from .polynomials import TreePolynomial, add
 from .polynomials import scale  # noqa: F401 - bench/tracing.py wraps rewriting.scale
-from .trees import TreeError, TreeMonomial, format_tree, graft, replace_at, subtree_at
+from .trees import OperationSymbol, TreeError, TreeMonomial, format_tree, graft
+from .trees import replace_at, subtree_at, subtrees
 
 __all__ = [
     "Occurrence",
@@ -82,13 +83,7 @@ def match_at(
 def _match(ambient: TreeMonomial, pattern: TreeMonomial) -> list[TreeMonomial] | None:
     if pattern.label is None:
         return [ambient]
-    label = ambient.label
-    # names are unique within a signature; symbols are shared objects
-    # almost always, so identity decides most tests, and comparing names
-    # keeps a mismatch out of the dataclass ``__eq__`` (two tuples)
-    if label is None or (
-        label is not pattern.label and label.name != pattern.label.name
-    ):
+    if ambient.label is not pattern.label:
         return None
     bindings: list[TreeMonomial] = []
     for a_child, p_child in zip(ambient.children, pattern.children):
@@ -108,20 +103,17 @@ class PatternIndex:
     that contains it and every reducer that reads the index (the bottom-up
     view of Hoffmann and O'Donnell, "Pattern matching in trees", JACM
     29(1), 1982).  The leads are trees too, so they key themselves.  A
-    subtree is matched only against the leads with its root label.  Groups
-    are keyed on the label's name: a ``str`` hashes and compares in C,
-    where an ``OperationSymbol`` (symbols are not interned, so equal ones
-    may be distinct objects) hashes and compares in Python.  A lead added
-    after a subtree was read is tried the next time that subtree is read.
-    The memo keeps every subtree it has read alive for as long as the
-    index lives.
+    subtree is matched only against the leads with its root label.  A
+    lead added after a subtree was read is tried the next time that
+    subtree is read.  The memo keeps every subtree it has read alive for
+    as long as the index lives.
     """
 
     __slots__ = ("by_root", "_leads", "_memo", "_unmatched")
 
     def __init__(self) -> None:
-        # root-label name -> (leads added before it, lead), in order added
-        self.by_root: dict[str, list[tuple[int, TreeMonomial]]] = {}
+        # root label -> (leads added before it, lead), in order added
+        self.by_root: dict[OperationSymbol, list[tuple[int, TreeMonomial]]] = {}
         self._leads: set[TreeMonomial] = set()
         # subtree -> (leads tried, the leads that match at its root)
         self._memo: dict[TreeMonomial, tuple[int, tuple[TreeMonomial, ...]]] = {}
@@ -136,7 +128,7 @@ class PatternIndex:
             return
         n = len(self._leads)
         self._leads.add(lead)
-        self.by_root.setdefault(lead.label.name, []).append((n, lead))
+        self.by_root.setdefault(lead.label, []).append((n, lead))
         self._unmatched = (n + 1, ())
 
     def root_matches(self, sub: TreeMonomial) -> tuple[TreeMonomial, ...]:
@@ -148,7 +140,7 @@ class PatternIndex:
             tried, found = entry or (0, ())
             found += tuple(
                 lead
-                for k, lead in self.by_root.get(sub.label.name, ())
+                for k, lead in self.by_root.get(sub.label, ())
                 if k >= tried and _match(sub, lead) is not None
             )
             entry = self._memo[sub] = (n, found) if found else self._unmatched
@@ -166,24 +158,16 @@ def occurrences(
     pattern needs an internal vertex; a bare leaf would match everywhere
     and is rejected.
     """
-    by_root: dict[str, list[tuple[int, TreeMonomial]]] = {}
+    by_root: dict[OperationSymbol, list[tuple[int, TreeMonomial]]] = {}
     for idx, pattern in enumerate(patterns):
         if pattern.label is None:
             raise TreeError("leaf pattern would occur at every vertex")
-        by_root.setdefault(pattern.label.name, []).append((idx, pattern))
-    if ambient.label is None:
-        return
-    stack = [((), ambient)]
-    while stack:
-        vertex, sub = stack.pop()
-        for idx, pattern in by_root.get(sub.label.name, ()):
+        by_root.setdefault(pattern.label, []).append((idx, pattern))
+    for vertex, sub in subtrees(ambient):
+        for idx, pattern in by_root.get(sub.label, ()):
             bindings = _match(sub, pattern)
             if bindings is not None:
                 yield vertex, idx, Occurrence(vertex, tuple(bindings))
-        children = sub.children
-        for i in range(len(children) - 1, -1, -1):
-            if children[i].label is not None:
-                stack.append((vertex + (i,), children[i]))
 
 
 def is_normal_monomial(t: TreeMonomial, leads: Sequence[TreeMonomial]) -> bool:

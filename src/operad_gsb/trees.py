@@ -5,8 +5,9 @@ operation symbols; leaves are unlabeled, ordered input slots.  The single
 leaf is the arity-1 identity.  Trees are immutable and hash-consed: the
 constructor returns the one live tree with a given label and children,
 so equal trees are the same object and compare and hash by identity.
-Tree hashes therefore differ from process to process (as ``str`` hashes
-already do); no output depends on them.
+Operation symbols are interned the same way, so a label test is an
+identity test.  Tree and symbol hashes therefore differ from process to
+process; no output depends on them.
 
 Vertex addresses are tuples of child indices from the root, so ``()`` is
 the root and ``(0, 1)`` is the second child of the first child.
@@ -33,7 +34,7 @@ __all__ = [
     "graft",
     "subtree_at",
     "replace_at",
-    "internal_vertices",
+    "subtrees",
     "parse_tree",
     "format_tree",
 ]
@@ -54,21 +55,35 @@ class TreeParseError(TreeError):
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
 
-@dataclass(frozen=True)
+# (name, arity) -> the live symbol; ``_INTERNED`` keeps every label alive anyway
+_SYMBOLS: dict[tuple[str, int], OperationSymbol] = {}
+
+
+@dataclass(frozen=True, eq=False, init=False)  # ``__new__`` sets the fields
 class OperationSymbol:
-    """A generating operation: a parseable name and an arity >= 2."""
+    """A generating operation: a parseable name and an arity >= 2.
+
+    Interned: equal symbols are one object, so they compare and hash by
+    identity.  ``f/2`` and ``f/3`` are two symbols."""
 
     name: str
     arity: int = 2
 
-    def __post_init__(self) -> None:
-        if not _NAME_RE.match(self.name):
-            raise TreeError(f"invalid operation name {self.name!r}")
-        if self.arity < 2:
-            raise TreeError(f"operation {self.name!r} must have arity >= 2")
+    def __new__(cls, name: str, arity: int = 2) -> OperationSymbol:
+        sym = _SYMBOLS.get((name, arity))
+        if sym is None:
+            if not _NAME_RE.match(name):
+                raise TreeError(f"invalid operation name {name!r}")
+            if arity < 2:
+                raise TreeError(f"operation {name!r} must have arity >= 2")
+            sym = _SYMBOLS[name, arity] = super().__new__(cls)
+            object.__setattr__(sym, "name", name)
+            object.__setattr__(sym, "arity", arity)
+        return sym
 
-    def __hash__(self) -> int:
-        return hash(self.name)
+    def __reduce__(self):
+        # unpickling and copying return the live symbol
+        return OperationSymbol, (self.name, self.arity)
 
     def __repr__(self) -> str:
         return f"OperationSymbol({self.name!r}, {self.arity})"
@@ -99,10 +114,10 @@ class Signature:
         return all(s.arity == 2 for s in self.symbols)
 
 
-# Deepest vertex nesting of any tree.  The recursive helpers
-# (``_graft``, ``replace_at``, ``format_tree``, ``path_words``, the
-# matcher and ``Reducer.first_redex``) use at most two frames per level, so trees this deep stay well
-# under Python's default recursion limit of 1000 frames.
+# Deepest vertex nesting of any tree.  The recursive helpers (``_graft``,
+# ``replace_at``, ``format_tree``, ``path_words``, ``_match``, ``_merge``
+# and ``Reducer._redex``) use at most two frames per level, so trees this
+# deep stay well under Python's default recursion limit of 1000 frames.
 MAX_TREE_DEPTH = 300
 
 
@@ -278,18 +293,17 @@ def replace_at(t: TreeMonomial, vertex: Sequence[int], replacement: TreeMonomial
     return TreeMonomial(t.label, children)
 
 
-def internal_vertices(t: TreeMonomial) -> Iterator[tuple[int, ...]]:
-    """Yield internal-vertex addresses in preorder (root first)."""
-    if t.is_leaf:
-        return
-    stack = [((), t)]
+def subtrees(t: TreeMonomial) -> Iterator[tuple[tuple[int, ...], TreeMonomial]]:
+    """Yield ``(address, subtree)`` for every internal vertex, in preorder
+    (root first)."""
+    stack = [] if t.label is None else [((), t)]
     while stack:
         addr, cur = stack.pop()
-        yield addr
-        for i in range(len(cur.children) - 1, -1, -1):
-            child = cur.children[i]
-            if not child.is_leaf:
-                stack.append((addr + (i,), child))
+        yield addr, cur
+        children = cur.children
+        for i in range(len(children) - 1, -1, -1):
+            if children[i].label is not None:
+                stack.append((addr + (i,), children[i]))
 
 
 # also tokenizes +, -, / and integers so polynomial text can share it

@@ -226,8 +226,8 @@ def test_deterministic_output(capsys):
 
 
 def test_output_independent_of_hash_seed():
-    # trees hash by identity and symbol names by the seeded str hash, so
-    # no output may depend on the order of a set or a hash
+    # trees and symbols hash by identity, which varies from process to
+    # process, so no output may depend on the order of a set or a hash
     src = Path(__file__).resolve().parent.parent / "src"
     outs = []
     for seed in ("0", "1"):
@@ -285,6 +285,18 @@ def test_threads_clamped_to_cpu_count(capsys, monkeypatch):
     monkeypatch.setenv("OPERAD_GSB_THREADS", "8")
     code, clamped, _ = run(capsys, "table1", "--preset", "dendriform")
     assert code == 0 and clamped == serial
+
+
+def test_table1_checks_caps_before_starting_workers(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a bad cap must be reported before workers start")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv("OPERAD_GSB_THREADS", "2")
+    code, out, err = run(capsys, "table1", "--preset", "dendriform", "--max-iterations", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: completion caps must be positive\n"
 
 
 def test_deep_tree_is_an_error(capsys):

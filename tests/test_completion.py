@@ -73,6 +73,11 @@ def test_inclusion_kinds(quad):
     # root-aligned inclusion is reported once, with the contained lead first
     assert len(small_common_multiples(L(a, b), LL(a, b, c))) == 1
     assert small_common_multiples(LL(a, b, c), L(a, b)) == []
+    # a symbol that shares a name but not an arity never overlaps
+    f2, f3 = og.OperationSymbol("f", 2), og.OperationSymbol("f", 3)
+    wide = og.node(f3, LEAF, LEAF, LEAF)
+    assert small_common_multiples(L(f2, f2), wide) == []
+    assert small_common_multiples(wide, L(f2, f2)) == []
 
 
 def test_s_polynomial_values(dend, dend_up, quad, quad_cbda):

@@ -8,7 +8,8 @@ import operad_gsb as og
 from operad_gsb.polynomials import add, scale
 from operad_gsb.presets import PRESETS, PresentationError
 
-DOCS = Path(__file__).resolve().parent.parent / "docs"
+ROOT = Path(__file__).resolve().parent.parent
+DOCS = ROOT / "docs"
 LEAF = og.LEAF
 
 
@@ -129,6 +130,13 @@ def test_docs_files_match_builtins(dend, quad):
         docs = _statements(DOCS.joinpath(f"{name}.rel").read_text())
         assert _statements(text) == [s for s in docs if not s.startswith("order:")]
     assert dend.preferred_order is None and quad.preferred_order is None
+
+
+def test_readme_library_block_runs():
+    # the README's library example states its values as asserts
+    readme = ROOT.joinpath("README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_parse_presentation_errors():

@@ -15,7 +15,7 @@ from operad_gsb.rewriting import (
     add_embedding,
     match_at,
 )
-from operad_gsb.trees import MAX_TREE_DEPTH, internal_vertices, replace_at, subtree_at
+from operad_gsb.trees import MAX_TREE_DEPTH, replace_at, subtrees
 
 from conftest import random_polynomial, random_rules, random_tree
 
@@ -68,6 +68,13 @@ def test_find_occurrences_examples(dend):
     assert find(R(succ, succ), L(succ, succ)) == []
     with pytest.raises(og.TreeError):
         find(t, LEAF)
+    # a symbol that shares a name but not an arity is another label
+    f2, f3 = og.OperationSymbol("f", 2), og.OperationSymbol("f", 3)
+    narrow, wide = og.node(f2, LEAF, LEAF), og.node(f3, LEAF, LEAF, LEAF)
+    assert find(wide, narrow) == [] and find(narrow, wide) == []
+    index = PatternIndex()
+    index.add(narrow)
+    assert index.root_matches(wide) == ()
 
 
 def test_occurrences_in_preorder(quad):
@@ -100,7 +107,7 @@ def test_occurrences_match_brute_force(seed, quad):
     patterns = [random_tree(rng, syms, rng.randint(2, 3)) for _ in range(rng.randint(1, 3))]
     expected = [
         (vertex, idx, occ)
-        for vertex in internal_vertices(ambient)
+        for vertex, _ in subtrees(ambient)
         for idx, pattern in enumerate(patterns)
         if (occ := match_at(ambient, vertex, pattern)) is not None
     ]
@@ -129,7 +136,7 @@ def test_shared_index_answers_like_a_private_one(seed, quad):
     for m in monomials:
         earlier.first_redex(m)
     m = rng.choice(monomials)
-    late = subtree_at(m, rng.choice(list(internal_vertices(m))))
+    _, late = rng.choice(list(subtrees(m)))
     late_rule = RewriteRule(late, og.TreePolynomial.zero(late.arity))
     for rule_list in (rules, rules + [late_rule], others):
         shared = Reducer(rule_list, order, index=index)
@@ -151,14 +158,14 @@ def test_first_redex_after_warm_subtrees(seed, quad):
     # leads grafted under a random tree, so that several children hold one
     outer = random_tree(rng, order.ranked, rng.randint(2, 4))
     m = og.graft(outer, [rng.choice([*leads, LEAF]) for _ in range(outer.arity)])
-    subtrees = [subtree_at(m, v) for v in internal_vertices(m)]
-    rng.shuffle(subtrees)
+    subs = [sub for _, sub in subtrees(m)]
+    rng.shuffle(subs)
     warm = Reducer(rules, order)
-    for sub in rng.sample(subtrees, rng.randint(0, len(subtrees))):
+    for sub in rng.sample(subs, rng.randint(0, len(subs))):
         warm.first_redex(sub)
     expected = next(og.occurrences(m, leads), None)
     assert warm.first_redex(m) == Reducer(rules, order).first_redex(m) == expected
-    for sub in subtrees:
+    for sub in subs:
         assert warm.first_redex(sub) == next(og.occurrences(sub, leads), None)
 
 

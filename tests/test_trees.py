@@ -15,9 +15,9 @@ from operad_gsb import trees
 from operad_gsb.trees import (
     MAX_TREE_DEPTH,
     TreeParseError,
-    internal_vertices,
     path_words,
     replace_at,
+    subtrees,
 )
 
 from conftest import random_tree
@@ -80,7 +80,9 @@ def test_pickle_and_copy_return_the_live_tree():
     deepest = LEAF
     for _ in range(MAX_TREE_DEPTH):
         deepest = og.node(A, LEAF, deepest)
-    for t in (LEAF, og.node(B, og.node(C, LEAF, LEAF), LEAF), deepest):
+    # symbols are interned like trees, so they come back as the live one too
+    symbols = (A, og.OperationSymbol("f", 3))
+    for t in (LEAF, og.node(B, og.node(C, LEAF, LEAF), LEAF), deepest, *symbols):
         assert pickle.loads(pickle.dumps(t)) is t
         assert copy.copy(t) is t
         assert copy.deepcopy(t) is t
@@ -91,12 +93,11 @@ def test_equal_trees_are_one_object(seed):
     rng = random.Random(seed)
     t = random_tree(rng, SYM4, rng.randint(1, 7))
     assert og.parse_tree(og.format_tree(t), SIG4) is t
-    # equal but distinct symbols build the same tree
-    twins = og.Signature(tuple(og.OperationSymbol(s.name, s.arity) for s in SYM4))
-    assert og.parse_tree(og.format_tree(t), twins) is t
+    # symbols are interned too: an equal symbol is the same one
+    assert all(og.OperationSymbol(s.name, s.arity) is s for s in SYM4)
     inners = [random_tree(rng, SYM4, rng.randint(1, 3)) for _ in range(t.arity)]
     built = [og.graft(t, inners)]
-    built += [replace_at(t, v, inners[0]) for v in internal_vertices(t)]
+    built += [replace_at(t, v, inners[0]) for v, _ in subtrees(t)]
     for u in built:
         assert og.parse_tree(og.format_tree(u), SIG4) is u
 
@@ -144,13 +145,17 @@ def test_replace_at_roundtrip():
     rng = random.Random(11)
     for _ in range(50):
         t = random_tree(rng, SYM4, rng.randint(2, 6))
-        for v in internal_vertices(t):
+        for v, _ in subtrees(t):
             assert replace_at(t, v, og.subtree_at(t, v)) == t
 
 
-def test_internal_vertices_preorder():
-    t = og.node(A, og.node(B, LEAF, og.node(C, LEAF, LEAF)), og.node(D, LEAF, LEAF))
-    assert list(internal_vertices(t)) == [(), (0,), (0, 1), (1,)]
+def test_subtrees_preorder():
+    c = og.node(C, LEAF, LEAF)
+    b = og.node(B, LEAF, c)
+    d = og.node(D, LEAF, LEAF)
+    t = og.node(A, b, d)
+    assert list(subtrees(t)) == [((), t), ((0,), b), ((0, 1), c), ((1,), d)]
+    assert list(subtrees(LEAF)) == []
 
 
 def test_parse_examples():
