@@ -63,9 +63,9 @@ def _build_parser() -> _Parser:
         src.add_argument("--relations", type=Path, metavar="PATH")
         if need_order:
             p.add_argument("--order", help='e.g. "prec<succ" or "c<b<d<a"')
-        p.add_argument("--max-iterations", type=int, default=2)
-        p.add_argument("--max-arity", type=int, default=12)
-        p.add_argument("--step-limit", type=int, default=10**6)
+        p.add_argument("--max-iterations", type=int, default=CompletionConfig.max_iterations)
+        p.add_argument("--max-arity", type=int, default=CompletionConfig.max_arity)
+        p.add_argument("--step-limit", type=int, default=CompletionConfig.step_limit)
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--out", type=Path, default=None)
 
@@ -231,10 +231,14 @@ def _cmd_reduce(args) -> int:
 
 
 def _formula_for(pres: Presentation):
-    if pres.name == "dendriform":
-        return catalan
-    if pres.name == "quadri":
-        return quadri_dim
+    """The closed form of a preset's dimensions when ``pres`` has that
+    preset's operations and relations, whatever its name; else None."""
+    def content(p: Presentation) -> tuple:
+        return set(p.signature.symbols), set(p.relations)
+
+    for name, formula in (("dendriform", catalan), ("quadri", quadri_dim)):
+        if content(pres) == content(parse_presentation(PRESETS[name])):
+            return formula
     return None
 
 

@@ -11,9 +11,10 @@ once after the loop terminates.
 
 Self-reduction is the plain loop "normal-form each rule modulo the
 others; on the first change, start again from the top".  The reducers
-of one call share a pattern index, whose memo of the leads matching at
-each subtree's root never goes stale: a lead matches a subtree or not
-whichever rules hold it, and each reducer reads only its own leads.
+of one call share a pattern index over a fixed set of leads, rebuilt
+only when a rewritten rule brings a new lead; a lead matches a subtree
+or not whichever rules hold it, and each reducer reads only its own
+leads, so the index's memo never goes stale.
 
 Enumeration is over ordered pairs: ``small_common_multiples(f, g)`` lists
 the multiples where ``f`` embeds at or inside the root occurrence of
@@ -205,7 +206,7 @@ def _enumerate_scms(
 
 
 def small_common_multiples(
-    f_lead: TreeMonomial, g_lead: TreeMonomial, max_arity: int = 12
+    f_lead: TreeMonomial, g_lead: TreeMonomial, max_arity: int = CompletionConfig.max_arity
 ) -> list[SmallCommonMultiple]:
     """All minimal common multiples with ``f_lead`` embedded inside the
     root occurrence of ``g_lead``, in preorder of the embedding vertex."""
@@ -245,12 +246,12 @@ def self_reduce(
     (or dropped if that is zero), and the search starts again from the
     top.  A polynomial equals its normal form exactly when it has no
     redex, so the check is a redex lookup; it fills the reducer's cache
-    that the reduction then reads.  Every reducer of the call reads one
-    shared ``PatternIndex``, so each subtree is matched against a lead
-    once per call, whichever rule list asks.
+    that the reduction then reads.  The reducers share one
+    ``PatternIndex`` per set of leads, rebuilt when a rewrite brings a
+    new lead, so a subtree is matched against a lead once per index.
     """
     out = list(rules)
-    index = PatternIndex()
+    index = PatternIndex(r.lead for r in out)
     while True:
         for i, rule in enumerate(out):
             reducer = Reducer(out[:i] + out[i + 1 :], ord, step_limit, index)
@@ -263,6 +264,8 @@ def self_reduce(
             del out[i]
         else:
             out[i] = RewriteRule.from_polynomial(nf, ord)
+            if out[i].lead not in index.leads:
+                index = PatternIndex(r.lead for r in out)
 
 
 def _validate_input(relations: Sequence[TreePolynomial], ord: OperationOrder) -> None:
@@ -277,7 +280,8 @@ def _validate_input(relations: Sequence[TreePolynomial], ord: OperationOrder) ->
             raise TreeError("zero relation in completion input")
         for mono in rel.terms:
             for _, sub in subtrees(mono):
-                ord.rank(sub.label)
+                if (sym := sub.label) not in ord.ranked:  # an identity test
+                    raise TreeError(f"operation {sym.name}/{sym.arity} is not ranked")
 
 
 @dataclass(frozen=True)

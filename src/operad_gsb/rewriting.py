@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .ordering import OperationOrder
 from .polynomials import TreePolynomial, add
@@ -95,56 +95,44 @@ def _match(ambient: TreeMonomial, pattern: TreeMonomial) -> list[TreeMonomial] |
 
 
 class PatternIndex:
-    """The leads of a set of reducers, grouped by root label, plus a memo of
-    which leads match at the root of each subtree read.
+    """A fixed set of rule leads, grouped by root label, plus a memo of
+    which of them match at the root of each subtree read.
 
     Trees are hash-consed, so the leads matching at a vertex depend on the
     vertex's subtree alone: one memo, keyed by subtree, serves every tree
     that contains it and every reducer that reads the index (the bottom-up
     view of Hoffmann and O'Donnell, "Pattern matching in trees", JACM
     29(1), 1982).  The leads are trees too, so they key themselves.  A
-    subtree is matched only against the leads with its root label.  A
-    lead added after a subtree was read is tried the next time that
-    subtree is read.  The memo keeps every subtree it has read alive for
-    as long as the index lives.
+    subtree is matched only against the leads with its root label.  The
+    leads, each with an internal vertex, are given once (a repeat counts
+    once); a reader that needs another lead builds another index.  The
+    memo keeps every subtree it has read alive for as long as the index
+    lives.
     """
 
-    __slots__ = ("by_root", "_leads", "_memo", "_unmatched")
+    __slots__ = ("leads", "_by_root", "_memo")
 
-    def __init__(self) -> None:
-        # root label -> (leads added before it, lead), in order added
-        self.by_root: dict[OperationSymbol, list[tuple[int, TreeMonomial]]] = {}
-        self._leads: set[TreeMonomial] = set()
-        # subtree -> (leads tried, the leads that match at its root)
-        self._memo: dict[TreeMonomial, tuple[int, tuple[TreeMonomial, ...]]] = {}
-        # the memo entry of every subtree that no lead matches, shared
-        # because most subtrees are such
-        self._unmatched: tuple[int, tuple[TreeMonomial, ...]] = (0, ())
-
-    def add(self, lead: TreeMonomial) -> None:
-        """Add a rule lead, which has an internal vertex; a lead already
-        present is ignored."""
-        if lead in self._leads:
-            return
-        n = len(self._leads)
-        self._leads.add(lead)
-        self.by_root.setdefault(lead.label, []).append((n, lead))
-        self._unmatched = (n + 1, ())
+    def __init__(self, leads: Iterable[TreeMonomial]) -> None:
+        unique = dict.fromkeys(leads)
+        self.leads = frozenset(unique)
+        # root label -> leads, in the order given
+        self._by_root: dict[OperationSymbol, list[TreeMonomial]] = {}
+        for lead in unique:
+            self._by_root.setdefault(lead.label, []).append(lead)
+        # subtree -> the leads that match at its root, () when none do
+        self._memo: dict[TreeMonomial, tuple[TreeMonomial, ...]] = {}
 
     def root_matches(self, sub: TreeMonomial) -> tuple[TreeMonomial, ...]:
         """The leads that match at the root of the internal vertex ``sub``;
         memoized per subtree."""
-        n = len(self._leads)
-        entry = self._memo.get(sub)
-        if entry is None or entry[0] < n:
-            tried, found = entry or (0, ())
-            found += tuple(
+        found = self._memo.get(sub)
+        if found is None:
+            found = self._memo[sub] = tuple(
                 lead
-                for k, lead in self.by_root.get(sub.label, ())
-                if k >= tried and _match(sub, lead) is not None
+                for lead in self._by_root.get(sub.label, ())
+                if _match(sub, lead) is not None
             )
-            entry = self._memo[sub] = (n, found) if found else self._unmatched
-        return entry[1]
+        return found
 
 
 def occurrences(
@@ -248,9 +236,10 @@ class Reducer:
     not a walk over the whole tree.  Completion reuses one reducer per
     iteration snapshot, so the cache is shared across all the
     S-polynomials of an iteration.  Root matches are read from a
-    ``PatternIndex``: the reducer's own, or an ``index`` passed in and
-    shared with reducers over other rule lists.  The reducer adds its
-    leads to it and ignores the leads of other lists.
+    ``PatternIndex``: one built over the reducer's own leads, or an
+    ``index`` passed in and shared with reducers over other rule lists.
+    A passed index must hold every lead of the list; the reducer ignores
+    the leads of other lists.
     """
 
     def __init__(
@@ -263,13 +252,16 @@ class Reducer:
         self.rules = tuple(rules)
         self.ord = ord
         self.step_limit = step_limit
-        self._index = PatternIndex() if index is None else index
         self._first_redex: dict[TreeMonomial, tuple | None] = {}
         # lead -> first rule with that lead
         self._rank: dict[TreeMonomial, int] = {}
         for idx, rule in enumerate(self.rules):
             self._rank.setdefault(rule.lead, idx)
-            self._index.add(rule.lead)
+        if index is None:
+            index = PatternIndex(self._rank)
+        elif not index.leads.issuperset(self._rank):
+            raise TreeError("the pattern index lacks a lead of this rule list")
+        self._index = index
 
     def first_redex(self, m: TreeMonomial) -> tuple | None:
         """Smallest (vertex, rule index, occurrence) triple in ``m``, if any."""
@@ -363,8 +355,7 @@ def normal_form(
     rules: Sequence[RewriteRule],
     ord: OperationOrder,
     step_limit: int = DEFAULT_STEP_LIMIT,
-    rng: random.Random | None = None,
     trace: list | None = None,
 ) -> TreePolynomial:
     """Reduce ``p`` until no monomial is divisible by any rule's lead."""
-    return Reducer(rules, ord, step_limit).reduce(p, rng=rng, trace=trace)
+    return Reducer(rules, ord, step_limit).reduce(p, trace=trace)

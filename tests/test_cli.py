@@ -179,6 +179,33 @@ def test_count_layout_pinned(capsys):
     assert out == json.dumps([dict(zip(keys, r)) for r in rows], indent=2) + "\n"
 
 
+def test_count_formula_follows_the_relations(capsys, tmp_path):
+    # a formula belongs to a preset's relations, not to a file's name
+    misnamed = tmp_path / "dendriform.rel"
+    misnamed.write_text("ops: prec succ\nrel: (prec (prec * *) *) - (prec * (prec * *))\n")
+    sources = [
+        (misnamed, "prec<succ", [None] * 4),
+        (DOCS / "dendriform.rel", "prec<succ", [1, 2, 5, 14]),
+        (DOCS / "quadri.rel", "c<b<d<a", [1, 4, 23, 156]),
+    ]
+    for path, order, formula in sources:
+        code, out, _ = run(
+            capsys, "count", "--relations", str(path), "--order", order,
+            "--n-max", "4", "--oracle-max", "1", "--format", "json",
+        )
+        assert code == 0
+        rows = json.loads(out)
+        assert [r["formula_value"] for r in rows] == formula, path
+    code, out, _ = run(
+        capsys, "count", "--relations", str(misnamed), "--order", "prec<succ",
+        "--n-max", "4", "--oracle-max", "1",
+    )
+    assert [line.split() for line in out.splitlines()[1:]] == [
+        ["1", "1", "-", "1"], ["2", "2", "-", "-"], ["3", "7", "-", "-"],
+        ["4", "31", "-", "-"],
+    ]
+
+
 def test_table1_quadri_iteration_one(capsys):
     code, out, _ = run(
         capsys, "table1", "--preset", "quadri", "--max-iterations", "1",

@@ -164,6 +164,12 @@ def test_complete_rejects_bad_input(dend, dend_up):
     order = og.OperationOrder((tern,))
     with pytest.raises(og.TreeError, match="binary"):
         og.complete([rel], order)
+    # an operation that shares a name but not an arity with a ranked one
+    f2, f3 = og.OperationSymbol("f", 2), og.OperationSymbol("f", 3)
+    x = og.node(f3, og.node(f3, LEAF, LEAF, LEAF), LEAF, LEAF)
+    y = og.node(f3, LEAF, og.node(f3, LEAF, LEAF, LEAF), LEAF)
+    with pytest.raises(og.TreeError, match="operation f/3 is not ranked"):
+        og.complete([og.TreePolynomial({x: 1, y: -1})], og.OperationOrder((f2,)))
 
 
 def test_self_reduce(dend, dend_up, quad, quad_cbda):

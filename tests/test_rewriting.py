@@ -72,9 +72,7 @@ def test_find_occurrences_examples(dend):
     f2, f3 = og.OperationSymbol("f", 2), og.OperationSymbol("f", 3)
     narrow, wide = og.node(f2, LEAF, LEAF), og.node(f3, LEAF, LEAF, LEAF)
     assert find(wide, narrow) == [] and find(narrow, wide) == []
-    index = PatternIndex()
-    index.add(narrow)
-    assert index.root_matches(wide) == ()
+    assert PatternIndex([narrow]).root_matches(wide) == ()
 
 
 def test_occurrences_in_preorder(quad):
@@ -117,10 +115,10 @@ def test_occurrences_match_brute_force(seed, quad):
 @given(seed=st.integers(0, 10**9))
 @settings(max_examples=80, deadline=None)
 def test_shared_index_answers_like_a_private_one(seed, quad):
-    # the index was filled and read for another rule list, which shares
-    # some leads, and gains this list's leads after.  The list repeats a
-    # lead, and the first rule with it must win.  A lead added after all
-    # those reads must reach the reducers that hold it, and no other.
+    # one index over the leads of several rule lists, which share some,
+    # was filled and read for one list before the others read it.  A list
+    # repeats a lead, and the first rule with it must win; the leads of
+    # the other lists must reach no reducer that lacks them.
     rules, order = random_rules(seed, quad)
     rng = random.Random(seed)
     twin = rng.choice(rules).lead
@@ -131,20 +129,30 @@ def test_shared_index_answers_like_a_private_one(seed, quad):
     others += random_rules(seed + 1, quad)[0]
     rng.shuffle(others)
     monomials = [random_tree(rng, order.ranked, rng.randint(3, 6)) for _ in range(6)]
-    index = PatternIndex()
+    m = rng.choice(monomials)
+    _, extra = rng.choice(list(subtrees(m)))
+    extra_rules = rules + [RewriteRule(extra, og.TreePolynomial.zero(extra.arity))]
+    index = PatternIndex(r.lead for r in extra_rules + others)
     earlier = Reducer(others, order, index=index)
     for m in monomials:
         earlier.first_redex(m)
-    m = rng.choice(monomials)
-    _, late = rng.choice(list(subtrees(m)))
-    late_rule = RewriteRule(late, og.TreePolynomial.zero(late.arity))
-    for rule_list in (rules, rules + [late_rule], others):
+    for rule_list in (rules, extra_rules, others):
         shared = Reducer(rule_list, order, index=index)
         private = Reducer(rule_list, order)
         leads = [r.lead for r in rule_list]
         for m in monomials:
             expected = next(og.occurrences(m, leads), None)
             assert shared.first_redex(m) == private.first_redex(m) == expected
+
+
+def test_reducer_rejects_an_index_without_its_leads(dend, dend_up):
+    # a reducer adds nothing to an index it is given
+    rules = [RewriteRule.from_polynomial(r, dend_up) for r in dend.relations]
+    index = PatternIndex(r.lead for r in rules[1:])
+    with pytest.raises(og.TreeError, match="lacks a lead"):
+        Reducer(rules, dend_up, index=index)
+    assert index.leads == {r.lead for r in rules[1:]}
+    Reducer(rules[1:], dend_up, index=index)
 
 
 @given(seed=st.integers(0, 10**9))
@@ -319,9 +327,8 @@ def test_step_limit_guard(dend, dend_up):
     with pytest.raises(ReductionError, match="cycle|step limit"):
         og.normal_form(og.TreePolynomial.monomial(x), loop, dend_up, step_limit=10)
     with pytest.raises(ReductionError, match="cycle|step limit"):
-        og.normal_form(
-            og.TreePolynomial.monomial(x), loop, dend_up, step_limit=10,
-            rng=random.Random(0),
+        Reducer(loop, dend_up, step_limit=10).reduce(
+            og.TreePolynomial.monomial(x), rng=random.Random(0)
         )
 
 
