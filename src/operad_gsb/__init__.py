@@ -45,7 +45,6 @@ from .trees import (
     graft,
     node,
     parse_tree,
-    path_words,
     subtree_at,
 )
 
@@ -90,6 +89,5 @@ __all__ = [
     "graft",
     "node",
     "parse_tree",
-    "path_words",
     "subtree_at",
 ]

@@ -254,8 +254,15 @@ def _cmd_count(args) -> int:
     rows = []
     for n in range(1, args.n_max + 1):
         oracle = None
-        if n <= args.oracle_max and count_tree_monomials(pres.signature, n) <= ORACLE_GUARD:
-            oracle = dimension_by_linear_algebra(pres, n)
+        if n <= args.oracle_max:
+            size = count_tree_monomials(pres.signature, n)
+            if size <= ORACLE_GUARD:
+                oracle = dimension_by_linear_algebra(pres, n)
+            else:
+                sys.stderr.write(
+                    f"warning: oracle skipped at arity {n}: {size} monomials "
+                    f"exceed the guard of {ORACLE_GUARD}\n"
+                )
         rows.append({
             "arity": n,
             "normal_count": count_normal(basis, n),

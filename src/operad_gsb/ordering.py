@@ -1,10 +1,13 @@
 """Path-lexicographic order on tree monomials.
 
-Monomials are compared by arity first (more leaves wins), then by their
-path sequences word by word, left to right.  Individual words compare
-degree-lexicographically: a longer word is greater, words of equal length
-compare letter by letter under the chosen total order on operation
-symbols.  The leading term of a polynomial is its *maximum* monomial.
+An order ranks interned operation symbols, so ``f/2`` and ``f/3`` are
+two symbols and a tree with an unranked one has no key.  Each tree is
+read as its path words: for each leaf, left to right, the ranks of the
+labels on the way from the root to it.  Monomials are compared by arity
+first (more leaves wins), then by these words one by one, left to
+right.  Individual words compare degree-lexicographically: a longer word
+is greater, words of equal length compare rank by rank.  The leading
+term of a polynomial is its *maximum* monomial.
 
 A consequence asserted in the tests: for binary signatures a left comb
 beats every right comb of the same arity regardless of the symbol order,
@@ -14,9 +17,8 @@ because its first path word is longer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
-from .trees import OperationSymbol, Signature, TreeError, TreeMonomial, path_words
+from .trees import OperationSymbol, Signature, TreeError, TreeMonomial
 
 __all__ = [
     "OperationOrder",
@@ -25,8 +27,7 @@ __all__ = [
 
 LT, EQ, GT = -1, 0, 1
 
-WordKey = tuple[int, tuple[int, ...]]
-MonomialKey = tuple[int, tuple[WordKey, ...]]
+MonomialKey = tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ class OperationOrder:
     """A total order on operation symbols, smallest first."""
 
     ranked: tuple[OperationSymbol, ...]
-    _ranks: dict[str, int] = field(
+    _ranks: dict[OperationSymbol, int] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
     _key_cache: dict[TreeMonomial, MonomialKey] = field(
@@ -42,10 +43,8 @@ class OperationOrder:
     )
 
     def __post_init__(self) -> None:
-        for i, sym in enumerate(self.ranked):
-            if sym.name in self._ranks:
-                raise TreeError(f"symbol {sym.name!r} ranked twice")
-            self._ranks[sym.name] = i
+        Signature(self.ranked)  # refuses two symbols of one name
+        self._ranks.update((sym, i) for i, sym in enumerate(self.ranked))
 
     @classmethod
     def from_string(cls, text: str, sig: Signature) -> "OperationOrder":
@@ -74,25 +73,31 @@ class OperationOrder:
     def as_string(self) -> str:
         return "<".join(s.name for s in self.ranked)
 
-    def rank(self, symbol: OperationSymbol | str) -> int:
-        name = symbol if isinstance(symbol, str) else symbol.name
+    def rank(self, symbol: OperationSymbol) -> int:
+        """Position of ``symbol`` in the order; an unranked symbol, ``f/3``
+        under an order that ranks ``f/2`` included, is a ``TreeError``."""
         try:
-            return self._ranks[name]
+            return self._ranks[symbol]
         except KeyError:
-            raise TreeError(f"symbol {name!r} is not ranked by this order") from None
-
-    def word_key(self, word: Sequence[OperationSymbol | str]) -> WordKey:
-        """Degree-lex sort key of a word: length first, then letter ranks."""
-        ranks = tuple(self.rank(sym) for sym in word)
-        return (len(ranks), ranks)
+            raise TreeError(
+                f"operation {symbol.name}/{symbol.arity} is not ranked by this order"
+            ) from None
 
     def monomial_key(self, t: TreeMonomial) -> MonomialKey:
-        """Path-lex sort key: arity, then the path-word keys left to right."""
+        """Path-lex sort key: the arity, then ``(len(w), w)`` for each path
+        word ``w`` of ranks, left to right.  Cached per tree."""
         key = self._key_cache.get(t)
         if key is None:
-            key = (t.arity, tuple(self.word_key(w) for w in path_words(t)))
+            key = (t.arity, tuple((len(w), w) for w in self._rank_words(t)))
             self._key_cache[t] = key
         return key
+
+    def _rank_words(self, t: TreeMonomial) -> tuple[tuple[int, ...], ...]:
+        # the path words of ``t`` in ranks; the single leaf has one empty word
+        if t.label is None:
+            return ((),)
+        r = self.rank(t.label)
+        return tuple((r,) + w for c in t.children for w in self._rank_words(c))
 
 
 def compare_monomials(s: TreeMonomial, t: TreeMonomial, ord: OperationOrder) -> int:

@@ -30,7 +30,6 @@ __all__ = [
     "LEAF",
     "MAX_TREE_DEPTH",
     "node",
-    "path_words",
     "graft",
     "subtree_at",
     "replace_at",
@@ -115,9 +114,10 @@ class Signature:
 
 
 # Deepest vertex nesting of any tree.  The recursive helpers (``_graft``,
-# ``replace_at``, ``format_tree``, ``path_words``, ``_match``, ``_merge``
-# and ``Reducer._redex``) use at most two frames per level, so trees this
-# deep stay well under Python's default recursion limit of 1000 frames.
+# ``replace_at``, ``format_tree``, ``OperationOrder._rank_words``,
+# ``_match``, ``_merge`` and ``Reducer._redex``) use at most two frames
+# per level, so trees this deep stay well under Python's default
+# recursion limit of 1000 frames.
 MAX_TREE_DEPTH = 300
 
 
@@ -219,18 +219,6 @@ LEAF = TreeMonomial()
 def node(label: OperationSymbol, *children: TreeMonomial) -> TreeMonomial:
     """Shorthand constructor for an internal vertex."""
     return TreeMonomial(label, children)
-
-
-def path_words(t: TreeMonomial) -> tuple[tuple[str, ...], ...]:
-    """Associate to each leaf, left to right, the word of internal labels
-    from the root to it.  The single leaf maps to one empty word.
-    """
-    if t.is_leaf:
-        return ((),)
-    name = t.label.name
-    return tuple(
-        (name,) + w for child in t.children for w in path_words(child)
-    )
 
 
 def graft(outer: TreeMonomial, inners: Sequence[TreeMonomial]) -> TreeMonomial:

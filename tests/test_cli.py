@@ -179,6 +179,23 @@ def test_count_layout_pinned(capsys):
     assert out == json.dumps([dict(zip(keys, r)) for r in rows], indent=2) + "\n"
 
 
+def test_count_reports_oracle_guard(capsys, monkeypatch):
+    # an arity the oracle guard skips prints "-" and says so on stderr
+    monkeypatch.setattr(cli, "ORACLE_GUARD", 100)
+    code, out, err = run(
+        capsys, "count", "--preset", "dendriform", "--order", "succ<prec",
+        "--n-max", "6", "--oracle-max", "6",
+    )
+    assert code == 0
+    assert [line.split()[3] for line in out.splitlines()[1:]] == [
+        "1", "2", "5", "14", "-", "-",
+    ]
+    assert err == (
+        "warning: oracle skipped at arity 5: 224 monomials exceed the guard of 100\n"
+        "warning: oracle skipped at arity 6: 1344 monomials exceed the guard of 100\n"
+    )
+
+
 def test_count_formula_follows_the_relations(capsys, tmp_path):
     # a formula belongs to a preset's relations, not to a file's name
     misnamed = tmp_path / "dendriform.rel"

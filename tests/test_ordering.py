@@ -1,4 +1,4 @@
-"""Path-lexicographic order: word keys, monomial comparison, maxima."""
+"""Path-lexicographic order: symbol ranks, monomial keys, comparison, maxima."""
 
 import random
 
@@ -29,17 +29,83 @@ def dorder(dend):
     return og.OperationOrder.from_string("prec<succ", dend.signature)
 
 
+def test_key_right_comb():
+    # the worked example: a over b on the right branch, under a<b
+    o = og.OperationOrder((A, B))
+    t = og.node(A, LEAF, og.node(B, LEAF, LEAF))
+    assert o.monomial_key(t) == (3, ((1, (0,)), (2, (0, 1)), (2, (0, 1))))
+
+
+def test_key_leaf_and_corolla():
+    o = og.OperationOrder((A, B))
+    assert o.monomial_key(LEAF) == (1, ((0, ()),))
+    assert o.monomial_key(og.node(B, LEAF, LEAF)) == (2, ((1, (1,)), (1, (1,))))
+
+
+@given(st.integers(0, 10**9))
+def test_key_injective(seed):
+    rng = random.Random(seed)
+    o = og.OperationOrder(SYM4)
+    n = rng.randint(2, 6)
+    s = random_tree(rng, SYM4, n)
+    t = random_tree(rng, SYM4, n)
+    if s != t:
+        assert o.monomial_key(s) != o.monomial_key(t)
+
+
+@given(st.integers(0, 10**9))
+def test_key_matches_words_spelled_in_names(seed):
+    # the key as it was computed from name words, rebuilt here, so that
+    # ranking symbols instead of names changes no key
+    rng = random.Random(seed)
+    o = og.OperationOrder(tuple(rng.sample(SYM4, 4)))
+    t = random_tree(rng, SYM4, rng.randint(1, 8))
+
+    def name_words(t):
+        if t.is_leaf:
+            return ((),)
+        return tuple((t.label.name,) + w for c in t.children for w in name_words(c))
+
+    rank = {s.name: i for i, s in enumerate(o.ranked)}
+    words = [tuple(rank[name] for name in w) for w in name_words(t)]
+    assert o.monomial_key(t) == (t.arity, tuple((len(w), w) for w in words))
+
+
 def test_compare_words(dend, dorder):
-    key = dorder.word_key
-    # degree first: the longer word wins
-    assert key(["succ", "succ"]) > key(["succ"])
-    # equal length: left-to-right by symbol rank
-    assert key(["succ", "prec"]) < key(["succ", "succ"])
-    assert key(["prec"]) == key(["prec"])
     prec, succ = dend.signature.symbols
-    assert key([succ, prec]) == key(["succ", "prec"])
+    key = dorder.monomial_key
+    # degree first: the longer first word wins
+    assert key(L(succ, succ)) > key(R(succ, succ))
+    assert key(L(succ, succ))[1][0] == (2, (1, 1))
+    assert key(R(succ, succ))[1][0] == (1, (1,))
+    # equal length: left to right by symbol rank
+    assert key(L(succ, prec))[1][0] == (2, (1, 0))
+    assert key(L(succ, prec)) < key(L(succ, succ))
+    with pytest.raises(og.TreeError, match="operation mul/2 is not ranked"):
+        key(og.node(og.OperationSymbol("mul"), LEAF, LEAF))
+
+
+def test_unranked_arity_is_refused():
+    # an operation that shares a name but not an arity with a ranked one
+    f2, f3 = og.OperationSymbol("f", 2), og.OperationSymbol("f", 3)
+    o = og.OperationOrder((f2,))
+    x = og.node(f3, og.node(f3, LEAF, LEAF, LEAF), LEAF, LEAF)
+    y = og.node(f3, LEAF, og.node(f3, LEAF, LEAF, LEAF), LEAF)
+    p = og.TreePolynomial({x: 1, y: -1})
+    unranked = "operation f/3 is not ranked"
+    with pytest.raises(og.TreeError, match=unranked):
+        o.rank(f3)
+    with pytest.raises(og.TreeError, match=unranked):
+        o.monomial_key(x)
+    with pytest.raises(og.TreeError, match=unranked):
+        og.compare_monomials(x, y, o)
+    with pytest.raises(og.TreeError, match=unranked):
+        og.RewriteRule.from_polynomial(p, o)
+    with pytest.raises(og.TreeError, match=unranked):
+        og.format_polynomial(p, o)
+    # two symbols of one name cannot both be ranked
     with pytest.raises(og.TreeError):
-        key(["mul"])
+        og.OperationOrder((f2, f3))
 
 
 def test_compare_monomials_known_leads(dend, dorder):

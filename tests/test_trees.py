@@ -1,4 +1,4 @@
-"""Tree monomials: paths, grafting, addressing, parsing."""
+"""Tree monomials: grafting, addressing, parsing."""
 
 import copy
 import gc
@@ -15,7 +15,6 @@ from operad_gsb import trees
 from operad_gsb.trees import (
     MAX_TREE_DEPTH,
     TreeParseError,
-    path_words,
     replace_at,
     subtrees,
 )
@@ -29,17 +28,6 @@ D = og.OperationSymbol("d")
 SIG4 = og.Signature((A, B, C, D))
 SYM4 = SIG4.symbols
 LEAF = og.LEAF
-
-
-def test_path_sequence_right_comb():
-    # the worked example: a over b on the right branch
-    t = og.node(A, LEAF, og.node(B, LEAF, LEAF))
-    assert path_words(t) == (("a",), ("a", "b"), ("a", "b"))
-
-
-def test_path_sequence_leaf_and_corolla():
-    assert path_words(LEAF) == ((),)
-    assert path_words(og.node(A, LEAF, LEAF)) == (("a",), ("a",))
 
 
 def test_symbol_validation():
@@ -201,7 +189,9 @@ def test_parse_depth_limit():
     deepest = og.parse_tree(comb(MAX_TREE_DEPTH), SIG4)
     # the recursive helpers cope with the deepest tree the parser accepts
     assert og.format_tree(deepest) == comb(MAX_TREE_DEPTH)
-    assert len(path_words(deepest)) == deepest.arity
+    key = og.OperationOrder(SYM4).monomial_key(deepest)
+    assert key[0] == deepest.arity and len(key[1]) == deepest.arity
+    assert key[1][0] == (MAX_TREE_DEPTH, (0,) * MAX_TREE_DEPTH)
     assert og.graft(deepest, [LEAF] * deepest.arity) == deepest
     bottom = (0,) * (MAX_TREE_DEPTH - 1)
     assert replace_at(deepest, bottom, og.subtree_at(deepest, bottom)) == deepest
@@ -281,13 +271,3 @@ def test_arity_additivity(seed):
     outer = random_tree(rng, SYM4, rng.randint(1, 4))
     inners = [random_tree(rng, SYM4, rng.randint(1, 4)) for _ in range(outer.arity)]
     assert og.graft(outer, inners).arity == sum(t.arity for t in inners)
-
-
-@given(st.integers(0, 10**9))
-def test_path_sequence_injective(seed):
-    rng = random.Random(seed)
-    n = rng.randint(2, 6)
-    s = random_tree(rng, SYM4, n)
-    t = random_tree(rng, SYM4, n)
-    if s != t:
-        assert path_words(s) != path_words(t)
