@@ -4,22 +4,30 @@ independent linear-algebra dimension oracle.
 For a confirmed basis the monomials free of leading terms form a linear
 basis of the quotient, so three independent counts must agree: direct
 filtering of every tree of the arity, a recurrence over the root states
-of a tree automaton built from the lead subtrees, and the codimension of
-the span of all relation embeddings computed by exact Gaussian
-elimination.
+of a tree automaton built from the lead subtrees, and the dimension of
+the quotient operad built arity by arity from the presentation alone,
+each arity a sum of tensor products of the lower ones divided by the
+relations at the root, by exact Gaussian elimination.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb
 from typing import Iterable
 
 from .completion import GSBasis
-from .polynomials import TreePolynomial
 from .presets import Presentation
 from .rewriting import is_normal_monomial
-from .trees import LEAF, Signature, TreeError, TreeMonomial, graft, subtrees
+from .trees import (
+    LEAF,
+    Signature,
+    TreeError,
+    TreeMonomial,
+    graft,  # noqa: F401 - bench/tracing.py wraps enumeration.graft
+    subtrees,
+)
 
 __all__ = [
     "catalan",
@@ -171,82 +179,202 @@ def count_normal(basis: GSBasis, n: int) -> int:
 
 
 def dimension_by_linear_algebra(pres: Presentation, n: int) -> int:
-    """Arity-``n`` dimension of the quotient: monomial count minus the
-    rank of the span of all relation embeddings, over the rationals.
+    """Arity-``n`` dimension of the quotient operad P, built arity by arity
+    over the rationals.
 
-    Independent of the rewriting machinery: plain exact Gaussian
-    elimination on the embedded relation vectors.
+    P(1) is the identity.  For m >= 2 the columns of arity m are the
+    blocks P(a_1) (x) ... (x) P(a_k), one for each operation f of arity k
+    and each split of m into its inputs; P(m) is their sum divided by the
+    span of every relation applied at the root to basis elements of the
+    lower P(a_j).  Dividing each block by the relations below its root
+    leaves exactly that tensor product, and a relation at the root with
+    an argument in the ideal already lies below the root, so the result
+    equals the codimension of the span of all relation embeddings into
+    all trees of the arity; no tree is listed.
+
+    Independent of the rewriting machinery: it uses the presentation
+    alone, with no order, reducer or basis.  The guard still counts the
+    trees of the arity.
     """
-    sig = pres.signature
-    total_monomials = _guard(sig, n, "oracle")
-    index = {t: i for i, t in enumerate(all_tree_monomials(sig, n))}
-    rows: list[dict[int, int]] = []
-    for rel in pres.relations:
-        m = rel.arity
-        if m > n:
-            continue
-        scaled = _integer_terms(rel)
-        for h in range(1, n - m + 2):
-            s = n - h + 1
-            for context in all_tree_monomials(sig, h):
-                for slot in range(h):
-                    for parts in _compositions(s, m):
-                        for bindings in _products(sig, parts):
-                            row: dict[int, int] = {}
-                            for mono, coeff in scaled:
-                                inner = graft(mono, bindings)
-                                plugs = [LEAF] * h
-                                plugs[slot] = inner
-                                image = graft(context, plugs)
-                                col = index[image]
-                                val = row.get(col, 0) + coeff
-                                if val:
-                                    row[col] = val
-                                else:
-                                    row.pop(col, None)
-                            if row:
-                                rows.append(row)
-    return total_monomials - _integer_rank(rows)
+    _guard(pres.signature, n, "oracle")
+    if n < 1:
+        raise TreeError(f"arity must be >= 1, got {n}")
+    quotient = _Quotient(pres)
+    for _ in range(n - 1):
+        quotient.add_arity()
+    return quotient.dims[n]
 
 
-def _integer_terms(p: TreePolynomial) -> list[tuple[TreeMonomial, int]]:
-    denom = 1
-    for coeff in p.terms.values():
-        denom = denom * coeff.denominator // gcd(denom, coeff.denominator)
-    return [(mono, int(coeff * denom)) for mono, coeff in sorted(
-        p.terms.items(), key=lambda kv: str(kv[0])
-    )]
+class _Quotient:
+    """The quotient operad of a presentation, one arity at a time.
+
+    ``dims[m]`` is dim P(m).  ``blocks[m]`` maps (f, (a_1..a_k)) to the
+    first column and the per-factor strides of that block at arity m,
+    whose columns run in mixed radix over the bases of the P(a_j).
+    ``echelons[m]`` is the number of columns of arity m and the echelon
+    form of the relations there; ``columns[m]``, built from it when a
+    higher arity first needs it, lists each column as a vector over the
+    basis of P(m).
+    """
+
+    def __init__(self, pres: Presentation):
+        self.symbols = pres.signature.symbols
+        self.relations = [(rel.arity, rel.terms.items()) for rel in pres.relations]
+        self.dims = [0, 1]
+        self.blocks: list[dict] = [{}, {}]
+        self.echelons: list[tuple[int, dict[int, dict]]] = [(0, {}), (0, {})]
+        self.columns: dict[int, list[dict]] = {}
+        # (subtree, parts) -> its images, each reduced to the basis of P
+        # of its arity; a leaf's are the unit vectors
+        self.factors: dict = {}
+
+    def add_arity(self) -> None:
+        """Build P(m) for the next arity m."""
+        m = len(self.dims)
+        dims = self.dims
+        table = {}
+        ncols = 0
+        for sym in self.symbols:
+            for parts in _compositions(m, sym.arity):
+                strides = []
+                size = 1
+                for a in reversed(parts):
+                    strides.append(size)
+                    size *= dims[a]
+                table[sym, parts] = (ncols, strides[::-1])
+                ncols += size
+        self.blocks.append(table)
+        rows = []
+        for arity, terms in self.relations:
+            if arity > m:
+                continue
+            for parts in _compositions(m, arity):
+                images = [self._images(mono, parts, coeff) for mono, coeff in terms]
+                for row, *rest in zip(*images):
+                    for image in rest:
+                        for col, v in image.items():
+                            w = row.get(col, 0) + v
+                            if w:
+                                row[col] = w
+                            else:
+                                del row[col]
+                    if row:
+                        rows.append(row)
+        pivots = _integer_rank(rows)
+        self.echelons.append((ncols, pivots))
+        dims.append(ncols - len(pivots))
+
+    def _images(
+        self, t: TreeMonomial, parts: tuple[int, ...], coeff: int | Fraction = 1
+    ) -> list[dict]:
+        """``coeff`` times ``t`` with its i-th leaf bound to a basis element
+        of P(``parts[i]``), for every binding in lexicographic order, as
+        fresh vectors over the columns of arity ``sum(parts)``.
+
+        The bindings and the block's columns both run in mixed radix, so
+        the images are the Kronecker product of the children's, each
+        reduced to the basis of P of its arity."""
+        split = []
+        kron = []
+        i = 0
+        for child in t.children:
+            j = i + child.arity
+            sub = parts[i:j]
+            a = sum(sub)
+            split.append(a)
+            factor = self.factors.get((child, sub))
+            if factor is None:
+                if child.is_leaf:
+                    factor = [{b: 1} for b in range(self.dims[a])]
+                else:
+                    columns = self._columns(a)
+                    factor = [_reduce(vec, columns) for vec in self._images(child, sub)]
+                self.factors[child, sub] = factor
+            kron.append(factor)
+            i = j
+        offset, strides = self.blocks[sum(parts)][t.label, tuple(split)]
+        # plain loops: most vectors hold one or two entries, and before
+        # Python 3.12 each comprehension would cost a call
+        out = [{offset: coeff}]
+        for factor, stride in zip(kron, strides):
+            folded = []
+            for x in out:
+                for y in factor:
+                    vec = {}
+                    for c, v in x.items():
+                        for b, w in y.items():
+                            vec[c + b * stride] = v * w
+                    folded.append(vec)
+            out = folded
+        return out
+
+    def _columns(self, m: int) -> list[dict]:
+        """Each column of arity m as a vector over the basis of P(m)."""
+        columns = self.columns.get(m)
+        if columns is None:
+            columns = self.columns[m] = _column_vectors(*self.echelons[m])
+        return columns
 
 
-def _normalize_row(row: dict[int, int]) -> dict[int, int]:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-    if g > 1:
-        return {k: v // g for k, v in row.items()}
-    return row
+def _reduce(vec: dict[int, int | Fraction], columns: list[dict]) -> dict[int, int | Fraction]:
+    """A vector over the columns of one arity, over the basis of P instead."""
+    if len(vec) == 1:
+        ((col, v),) = vec.items()
+        if v == 1:
+            return columns[col]
+    out: dict[int, int | Fraction] = {}
+    for col, v in vec.items():
+        for b, w in columns[col].items():
+            x = out.get(b, 0) + v * w
+            if x:
+                out[b] = x
+            else:
+                del out[b]
+    return out
 
 
-def _integer_rank(rows: list[dict[int, int]]) -> int:
-    """Rank over Q of sparse integer rows (fraction-free elimination)."""
-    pivots: dict[int, dict[int, int]] = {}
-    rank = 0
+def _column_vectors(ncols: int, pivots: dict[int, dict]) -> list[dict[int, int | Fraction]]:
+    """Each column of one arity as a vector over the basis of P.  The
+    non-pivot columns, numbered in order, are the basis; a pivot column is
+    minus the rest of its echelon row, whose columns all lie to its left
+    and so are already expressed."""
+    out: list[dict[int, int | Fraction]] = []
+    basis = 0
+    for col in range(ncols):
+        piv = pivots.get(col)
+        if piv is None:
+            out.append({basis: 1})
+            basis += 1
+        else:
+            out.append(_reduce({k: -v for k, v in piv.items() if k != col}, out))
+    return out
+
+
+def _integer_rank(rows: list[dict[int, int | Fraction]]) -> dict[int, dict[int, int | Fraction]]:
+    """Row echelon form over Q of sparse rows, consumed in place: pivot
+    column -> its row, whose entry there is 1 and whose other entries lie
+    to the left.  The rank is the number of pivots.
+
+    Each row is scaled to a leading 1 when it becomes a pivot, so rows
+    with pivots of +-1 stay in machine integers."""
+    pivots: dict[int, dict[int, int | Fraction]] = {}
     for row in rows:
-        row = dict(row)
         while row:
-            col = min(row)
+            col = max(row)
             piv = pivots.get(col)
             if piv is None:
-                pivots[col] = _normalize_row(row)
-                rank += 1
+                lead = row[col]
+                if lead == -1:
+                    row = {k: -v for k, v in row.items()}
+                elif lead != 1:
+                    row = {k: Fraction(v, lead) for k, v in row.items()}
+                pivots[col] = row
                 break
-            a, b = row[col], piv[col]
-            new = {k: v * b for k, v in row.items()}
+            a = row[col]
             for k, v in piv.items():
-                w = new.get(k, 0) - v * a
+                w = row.get(k, 0) - a * v
                 if w:
-                    new[k] = w
+                    row[k] = w
                 else:
-                    new.pop(k, None)
-            row = _normalize_row(new)
-    return rank
+                    del row[k]
+    return pivots

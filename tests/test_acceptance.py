@@ -17,7 +17,7 @@ import time
 import pytest
 
 import operad_gsb as og
-from operad_gsb.rewriting import Reducer
+from operad_gsb.rewriting import Reducer, RewriteRule
 
 from conftest import load_bench_module, random_polynomial, random_tree
 
@@ -239,24 +239,48 @@ def test_criterion_4_sweep_bytes_match_recorded_digest(quad, sweep):
 
 def test_criterion_4_added_elements_lie_in_the_ideal(quad, sweep):
     # adding a row's new elements to the relations leaves the quotient's
-    # dimension unchanged, so they lie in the ideal; the oracle at arity 6
-    # takes seconds, so the arity-6 elements go unchecked
+    # dimension unchanged at the arity of each element, so they lie in
+    # the ideal; ten rows add elements of arity 5 and 6 as well as 4
     start = time.perf_counter()
-    expected = {n: og.dimension_by_linear_algebra(quad, n) for n in (4, 5)}
-    rows_at_5 = ("a<b<c<d", "a<b<d<c", "b<a<d<c")
-    checked = 0
+    expected = {n: og.dimension_by_linear_algebra(quad, n) for n in (4, 5, 6)}
+    checked = {}
     for text, report in sweep.items():
         added = tuple(p for rec in report.iterations for p in rec.added)
         if not added:
             continue
         extended = og.Presentation(quad.signature, quad.relations + added, "extended")
-        for n in (4, 5) if text in rows_at_5 else (4,):
+        for n in sorted({p.arity for p in added}):
             assert og.dimension_by_linear_algebra(extended, n) == expected[n], (text, n)
-            checked += 1
+            checked[n] = checked.get(n, 0) + 1
     elapsed = time.perf_counter() - start
-    assert checked == 22 + 3
-    _pass("4f", f"every added element of arity <= 5 lies in the ideal "
-               f"(22 rows at arity 4, 3 at arity 5), {elapsed:.1f}s")
+    assert checked == {4: 22, 5: 10, 6: 10}
+    _pass("4f", f"every added element lies in the ideal at its own arity "
+               f"(22 rows at arity 4, 10 at arity 5, 10 at arity 6), {elapsed:.1f}s")
+
+
+def test_criterion_4_reduced_basis_is_unique(quad, sweep):
+    # a reduced Groebner basis is unique: self-reducing the unreduced one
+    # (oriented relations plus every added element) in any order gives
+    # the final basis of each confirmed row
+    start = time.perf_counter()
+    confirmed = [text for text, report in sweep.items() if report.status == "gsb_confirmed"]
+    for text in confirmed:
+        report = sweep[text]
+        order = og.OperationOrder.from_string(text, quad.signature)
+        unreduced = [
+            RewriteRule.from_polynomial(p, order)
+            for p in quad.relations + tuple(p for rec in report.iterations for p in rec.added)
+        ]
+        for seed in range(5):
+            rules = list(unreduced)
+            random.Random(seed).shuffle(rules)
+            got = og.self_reduce(rules, order)
+            assert len(got) == len(report.basis), (text, seed)
+            assert {r.polynomial for r in got} == set(report.basis), (text, seed)
+    elapsed = time.perf_counter() - start
+    assert len(confirmed) == 14
+    _pass("4g", f"the unreduced basis of each of the 14 confirmed rows, in 5 "
+               f"shuffles, self-reduces to the final basis, {elapsed:.1f}s")
 
 
 def test_criterion_5_dimensions(dend_basis_up, dend_basis_down, quad_basis_cbda, quad_basis_cdba):
@@ -280,17 +304,22 @@ def test_criterion_5_dimensions(dend_basis_up, dend_basis_down, quad_basis_cbda,
 def test_criterion_6_oracle_equivalence(
     dend, quad, dend_basis_up, dend_basis_down, quad_basis_cbda, quad_basis_cdba
 ):
+    # up to the paper's top arities: Catalan 1..8 and quadri dims 1..6
+    start = time.perf_counter()
     cases = [
-        (dend, dend_basis_up),
-        (dend, dend_basis_down),
-        (quad, quad_basis_cbda),
-        (quad, quad_basis_cdba),
+        (dend, og.catalan, 8, (dend_basis_up, dend_basis_down)),
+        (quad, og.quadri_dim, 6, (quad_basis_cbda, quad_basis_cdba)),
     ]
-    for pres, basis in cases:
-        for n in range(1, 6):
-            assert og.count_normal(basis, n) == og.dimension_by_linear_algebra(pres, n)
-    _pass("6", "count_normal == linear-algebra dimension for n <= 5 on all "
-              "four confirmed bases")
+    for pres, formula, n_max, bases in cases:
+        for n in range(1, n_max + 1):
+            oracle = og.dimension_by_linear_algebra(pres, n)
+            assert oracle == formula(n), (pres.name, n)
+            for basis in bases:
+                assert og.count_normal(basis, n) == oracle, (pres.name, n)
+    elapsed = time.perf_counter() - start
+    _pass("6", "count_normal == linear-algebra dimension == formula for "
+              f"dendriform n <= 8 and quadri n <= 6 on all four confirmed "
+              f"bases, {elapsed:.1f}s")
 
 
 def test_criterion_7_diamond_property(

@@ -1,5 +1,10 @@
 """Normal-monomial counting, reference formulas, dimension oracle."""
 
+import itertools
+import math
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -112,6 +117,126 @@ def test_dimension_oracle(dend, quad):
 def test_dimension_oracle_guard(quad):
     with pytest.raises(og.TreeError, match="guard"):
         og.dimension_by_linear_algebra(quad, 12)
+
+
+def test_dimension_oracle_rejects_arity_zero(dend):
+    with pytest.raises(og.TreeError):
+        og.dimension_by_linear_algebra(dend, 0)
+
+
+def _normalize_row(row):
+    g = 0
+    for v in row.values():
+        g = math.gcd(g, v)
+    if g > 1:
+        return {k: v // g for k, v in row.items()}
+    return row
+
+
+def _fraction_free_rank(rows):
+    """Rank over Q of sparse integer rows, never leaving the integers."""
+    pivots = {}
+    for row in rows:
+        while row:
+            col = min(row)
+            piv = pivots.get(col)
+            if piv is None:
+                pivots[col] = _normalize_row(row)
+                break
+            a, b = row[col], piv[col]
+            new = {k: v * b for k, v in row.items()}
+            for k, v in piv.items():
+                w = new.get(k, 0) - v * a
+                if w:
+                    new[k] = w
+                else:
+                    new.pop(k, None)
+            row = _normalize_row(new)
+    return len(pivots)
+
+
+def reference_dimension(pres, n):
+    """The flat construction: the number of arity-``n`` trees minus the rank
+    of every relation grafted into every context, slot and binding."""
+    sig = pres.signature
+    trees = all_tree_monomials(sig, n)
+    index = {t: i for i, t in enumerate(trees)}
+    rows = []
+    for rel in pres.relations:
+        m = rel.arity
+        if m > n:
+            continue
+        scale = math.lcm(*(Fraction(c).denominator for c in rel.terms.values()))
+        terms = [(mono, int(c * scale)) for mono, c in rel.terms.items()]
+        for h in range(1, n - m + 2):
+            s = n - h + 1
+            for cuts in itertools.combinations(range(1, s), m - 1):
+                parts = [b - a for a, b in zip((0,) + cuts, cuts + (s,))]
+                for bindings in itertools.product(
+                    *(all_tree_monomials(sig, p) for p in parts)
+                ):
+                    for context in all_tree_monomials(sig, h):
+                        for slot in range(h):
+                            row = {}
+                            for mono, coeff in terms:
+                                plugs = [LEAF] * h
+                                plugs[slot] = og.graft(mono, bindings)
+                                col = index[og.graft(context, plugs)]
+                                row[col] = row.get(col, 0) + coeff
+                            row = {k: v for k, v in row.items() if v}
+                            if row:
+                                rows.append(row)
+    return len(trees) - _fraction_free_rank(rows)
+
+
+def _random_tree(rng, symbols, arity):
+    if arity == 1:
+        return LEAF
+    sym = rng.choice([s for s in symbols if s.arity <= arity])
+    cuts = sorted(rng.sample(range(1, arity), sym.arity - 1))
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [arity])]
+    return og.TreeMonomial(sym, [_random_tree(rng, symbols, p) for p in parts])
+
+
+def random_presentation(seed):
+    """1-3 operations, the last of two or three possibly ternary, with 1-3
+    relations of arity 3-5 whose coefficients include non-units and 1/2."""
+    rng = random.Random(seed)
+    arities = [2] * rng.randint(1, 3)
+    # a binary operation stays, so that a tree of every arity exists
+    if len(arities) > 1 and rng.random() < 0.5:
+        arities[-1] = 3
+    symbols = tuple(og.OperationSymbol(f"o{i}", k) for i, k in enumerate(arities))
+    count = rng.randint(1, 3)
+    relations = []
+    while len(relations) < count:
+        arity = rng.randint(3, 5)
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            terms[_random_tree(rng, symbols, arity)] = rng.choice(
+                [1, -1, 2, -2, 3, -3, Fraction(1, 2)]
+            )
+        rel = og.TreePolynomial(terms, arity)
+        if rel:
+            relations.append(rel)
+    return og.Presentation(og.Signature(symbols), tuple(relations), "random")
+
+
+def test_reference_dimension_on_presets(dend, quad):
+    assert [reference_dimension(dend, n) for n in range(1, 6)] == [
+        og.catalan(n) for n in range(1, 6)
+    ]
+    assert [reference_dimension(quad, n) for n in range(1, 5)] == [
+        og.quadri_dim(n) for n in range(1, 5)
+    ]
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_oracle_matches_flat_construction(seed):
+    pres = random_presentation(seed)
+    for n in range(1, 6):
+        assert og.dimension_by_linear_algebra(pres, n) == reference_dimension(pres, n)
 
 
 def test_oracle_agrees_with_counts(dend, quad, dend_basis_up, quad_basis_cbda):
