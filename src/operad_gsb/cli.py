@@ -28,10 +28,9 @@ from .completion import (
     complete,
 )
 from .enumeration import (
-    ORACLE_GUARD,
+    GuardError,
     catalan,
     count_normal,
-    count_tree_monomials,
     dimension_by_linear_algebra,
     quadri_dim,
 )
@@ -252,17 +251,19 @@ def _cmd_count(args) -> int:
         sys.stderr.write(f"warning: basis not confirmed ({report.status})\n")
     formula = _formula_for(pres)
     rows = []
+    # the oracle builds every arity up to n, so once it refuses one, it
+    # refuses every later n at that same arity
+    refused = None
     for n in range(1, args.n_max + 1):
         oracle = None
         if n <= args.oracle_max:
-            size = count_tree_monomials(pres.signature, n)
-            if size <= ORACLE_GUARD:
-                oracle = dimension_by_linear_algebra(pres, n)
-            else:
-                sys.stderr.write(
-                    f"warning: oracle skipped at arity {n}: {size} monomials "
-                    f"exceed the guard of {ORACLE_GUARD}\n"
-                )
+            if refused is None:
+                try:
+                    oracle = dimension_by_linear_algebra(pres, n)
+                except GuardError as exc:
+                    refused = exc
+            if refused is not None:
+                sys.stderr.write(f"warning: oracle skipped at arity {n}: {refused}\n")
         rows.append({
             "arity": n,
             "normal_count": count_normal(basis, n),

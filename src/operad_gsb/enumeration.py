@@ -37,9 +37,15 @@ __all__ = [
     "enumerate_normal",
     "count_normal",
     "dimension_by_linear_algebra",
+    "GuardError",
 ]
 
 ORACLE_GUARD = 10**6
+
+
+class GuardError(TreeError):
+    """Work past ``ORACLE_GUARD``: more trees of an arity than a listing
+    may hold, or more columns at an arity than the rank oracle takes."""
 
 
 def catalan(n: int) -> int:
@@ -115,21 +121,15 @@ def _require_binary(sig: Signature) -> None:
         raise TreeError("normal-form enumeration supports binary signatures only")
 
 
-def _guard(sig: Signature, n: int, what: str) -> int:
-    """The number of arity-``n`` monomials, refused above ``ORACLE_GUARD``."""
-    total = count_tree_monomials(sig, n)
-    if total > ORACLE_GUARD:
-        raise TreeError(f"{what} guard exceeded: {total} monomials at arity {n}")
-    return total
-
-
 def enumerate_normal(basis: GSBasis, n: int) -> list[TreeMonomial]:
     """All arity-``n`` monomials containing no basis lead, sorted ascending
-    under the basis order.  Like the rank oracle, it refuses to list more
-    than ``ORACLE_GUARD`` monomials."""
+    under the basis order.  It refuses to list more than ``ORACLE_GUARD``
+    monomials."""
     sig = basis.order.signature
     _require_binary(sig)
-    _guard(sig, n, "enumeration")
+    total = count_tree_monomials(sig, n)
+    if total > ORACLE_GUARD:
+        raise GuardError(f"enumeration guard exceeded: {total} monomials at arity {n}")
     leads = basis.leads
     normal = [
         t for t in all_tree_monomials(sig, n) if is_normal_monomial(t, leads)
@@ -193,10 +193,11 @@ def dimension_by_linear_algebra(pres: Presentation, n: int) -> int:
     all trees of the arity; no tree is listed.
 
     Independent of the rewriting machinery: it uses the presentation
-    alone, with no order, reducer or basis.  The guard still counts the
-    trees of the arity.
+    alone, with no order, reducer or basis.  The guard bounds the work by
+    the columns, not the trees: an arity with more than ``ORACLE_GUARD``
+    columns is refused with a ``GuardError`` before its elimination, so
+    every larger ``n`` is refused at that arity too.
     """
-    _guard(pres.signature, n, "oracle")
     if n < 1:
         raise TreeError(f"arity must be >= 1, got {n}")
     quotient = _Quotient(pres)
@@ -243,6 +244,10 @@ class _Quotient:
                     size *= dims[a]
                 table[sym, parts] = (ncols, strides[::-1])
                 ncols += size
+        if ncols > ORACLE_GUARD:
+            raise GuardError(
+                f"{ncols} columns at arity {m} exceed the oracle guard of {ORACLE_GUARD}"
+            )
         self.blocks.append(table)
         rows = []
         for arity, terms in self.relations:

@@ -95,22 +95,29 @@ def _match(ambient: TreeMonomial, pattern: TreeMonomial) -> list[TreeMonomial] |
 
 
 class PatternIndex:
-    """A fixed set of rule leads, grouped by root label, plus a memo of
-    which of them match at the root of each subtree read.
+    """A fixed set of rule leads, grouped by the shape of their root, plus
+    a memo of which of them match at the root of each subtree read.
 
     Trees are hash-consed, so the leads matching at a vertex depend on the
     vertex's subtree alone: one memo, keyed by subtree, serves every tree
     that contains it and every reducer that reads the index (the bottom-up
     view of Hoffmann and O'Donnell, "Pattern matching in trees", JACM
-    29(1), 1982).  The leads are trees too, so they key themselves.  A
-    subtree is matched only against the leads with its root label.  The
-    leads, each with an internal vertex, are given once (a repeat counts
-    once); a reader that needs another lead builds another index.  The
-    memo keeps every subtree it has read alive for as long as the index
-    lives.
+    29(1), 1982).  The leads are trees too, so they key themselves.
+
+    A subtree is matched only against the candidates of its shape: its
+    root label and the label of each child, ``None`` for a leaf.  A lead
+    is a candidate when it has that root label and each of its children
+    is a leaf or carries the child label at that place, since any other
+    lead already fails one level down (McCune's discrimination by the
+    symbols below the root, JAR 9, 1992).  Candidates keep the order the
+    leads were given in, and each shape's list is built when a subtree of
+    that shape is first read.  The leads, each with an internal vertex,
+    are given once (a repeat counts once); a reader that needs another
+    lead builds another index.  The memo keeps every subtree it has read
+    alive for as long as the index lives.
     """
 
-    __slots__ = ("leads", "_by_root", "_memo")
+    __slots__ = ("leads", "_by_root", "_by_shape", "_memo")
 
     def __init__(self, leads: Iterable[TreeMonomial]) -> None:
         unique = dict.fromkeys(leads)
@@ -119,6 +126,8 @@ class PatternIndex:
         self._by_root: dict[OperationSymbol, list[TreeMonomial]] = {}
         for lead in unique:
             self._by_root.setdefault(lead.label, []).append(lead)
+        # (root label, child labels...) -> its candidates, () when none fit
+        self._by_shape: dict[tuple, tuple[TreeMonomial, ...]] = {}
         # subtree -> the leads that match at its root, () when none do
         self._memo: dict[TreeMonomial, tuple[TreeMonomial, ...]] = {}
 
@@ -127,11 +136,24 @@ class PatternIndex:
         memoized per subtree."""
         found = self._memo.get(sub)
         if found is None:
-            found = self._memo[sub] = tuple(
-                lead
-                for lead in self._by_root.get(sub.label, ())
-                if _match(sub, lead) is not None
-            )
+            shape = (sub.label, *[child.label for child in sub.children])
+            candidates = self._by_shape.get(shape)
+            if candidates is None:
+                candidates = self._by_shape[shape] = tuple(
+                    lead
+                    for lead in self._by_root.get(sub.label, ())
+                    if all(
+                        p.label is None or p.label is label
+                        for p, label in zip(lead.children, shape[1:])
+                    )
+                )
+            if candidates:
+                found = tuple(
+                    [lead for lead in candidates if _match(sub, lead) is not None]
+                )
+            else:
+                found = ()
+            self._memo[sub] = found
         return found
 
 

@@ -5,6 +5,8 @@ operation symbols; leaves are unlabeled, ordered input slots.  The single
 leaf is the arity-1 identity.  Trees are immutable and hash-consed: the
 constructor returns the one live tree with a given label and children,
 so equal trees are the same object and compare and hash by identity.
+The intern tables are plain dictionaries of weak references, so a tree
+nothing else holds is released and leaves its table.
 Operation symbols are interned the same way, so a label test is an
 identity test.  Tree and symbol hashes therefore differ from process to
 process; no output depends on them.
@@ -19,7 +21,7 @@ import functools
 import re
 import weakref
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 __all__ = [
     "OperationSymbol",
@@ -114,17 +116,55 @@ class Signature:
 
 
 # Deepest vertex nesting of any tree.  The recursive helpers (``_graft``,
-# ``replace_at``, ``format_tree``, ``OperationOrder._rank_words``,
-# ``_match``, ``_merge`` and ``Reducer._redex``) use at most two frames
-# per level, so trees this deep stay well under Python's default
-# recursion limit of 1000 frames.
+# ``format_tree``, ``OperationOrder._rank_words``, ``_match``, ``_merge``
+# and ``Reducer._redex``) use at most two frames per level, so trees this
+# deep stay well under Python's default recursion limit of 1000 frames;
+# ``replace_at`` walks its address in a loop.
 MAX_TREE_DEPTH = 300
 
 
-# label -> {children: the live tree with that label and children}.  A
-# tree leaves its table when its last reference goes, so the tables hold
-# no dead trees.
-_INTERNED: dict[OperationSymbol | None, weakref.WeakValueDictionary] = {}
+class _TreeRef(weakref.ref):
+    """A weak reference to an interned tree that remembers its table key."""
+
+    __slots__ = ("key",)
+
+
+# label -> {children: a weak reference to the live tree with that label
+# and children}.  A tree's reference calls its label's entry in
+# ``_RELEASE`` when the tree goes, which drops the entry unless a newer
+# tree has taken the key, so the tables hold no dead trees.
+_INTERNED: dict[OperationSymbol | None, dict[tuple, _TreeRef]] = {}
+_RELEASE: dict[OperationSymbol | None, Callable[[_TreeRef], None]] = {}
+
+
+def _table(label: OperationSymbol | None) -> dict[tuple, _TreeRef]:
+    """The intern table of ``label``, made with its release callback."""
+    table = _INTERNED[label] = {}
+
+    def release(ref: _TreeRef) -> None:
+        if table.get(ref.key) is ref:
+            del table[ref.key]
+
+    _RELEASE[label] = release
+    return table
+
+
+def _intern(label: OperationSymbol | None, children: tuple) -> TreeMonomial:
+    """The live tree with ``label`` and ``children``, built if there is
+    none; the one way every tree is made."""
+    table = _INTERNED.get(label)
+    if table is None:
+        table = _table(label)
+    ref = table.get(children)
+    if ref is not None:
+        tree = ref()
+        if tree is not None:
+            return tree
+    # ``type.__call__`` runs ``TreeMonomial.__init__`` and its checks
+    tree = type.__call__(TreeMonomial, label, children)
+    ref = table[children] = _TreeRef(tree, _RELEASE[label])
+    ref.key = children
+    return tree
 
 
 class _HashConsed(type):
@@ -136,14 +176,7 @@ class _HashConsed(type):
         label: OperationSymbol | None = None,
         children: Sequence[TreeMonomial] = (),
     ) -> TreeMonomial:
-        children = tuple(children)
-        table = _INTERNED.get(label)
-        if table is None:
-            table = _INTERNED[label] = weakref.WeakValueDictionary()
-        tree = table.get(children)
-        if tree is None:
-            tree = table[children] = super().__call__(label, children)
-        return tree
+        return _intern(label, tuple(children))
 
 
 class TreeMonomial(metaclass=_HashConsed):
@@ -249,12 +282,13 @@ def _memo_graft(outer: TreeMonomial, inners: tuple[TreeMonomial, ...]) -> TreeMo
 
 def _graft(t: TreeMonomial, inners: Iterator[TreeMonomial]) -> TreeMonomial:
     """``t`` with each leaf, left to right, replaced by the next of ``inners``."""
-    if t.is_leaf:
+    if t.label is None:
         return next(inners)
-    children = [_graft(child, inners) for child in t.children]
-    if all(a is b for a, b in zip(children, t.children)):
+    children = tuple([_graft(child, inners) for child in t.children])
+    # tuples compare items by identity first, and trees compare by identity
+    if children == t.children:
         return t
-    return TreeMonomial(t.label, children)
+    return _intern(t.label, children)
 
 
 def subtree_at(t: TreeMonomial, vertex: Sequence[int]) -> TreeMonomial:
@@ -273,12 +307,21 @@ def replace_at(t: TreeMonomial, vertex: Sequence[int], replacement: TreeMonomial
     """Return ``t`` with the subtree at ``vertex`` swapped for ``replacement``."""
     if not vertex:
         return replacement
-    step = vertex[0]
-    if t.is_leaf or not 0 <= step < len(t.children):
-        raise TreeError(f"invalid vertex address {tuple(vertex)!r}")
-    children = list(t.children)
-    children[step] = replace_at(children[step], vertex[1:], replacement)
-    return TreeMonomial(t.label, children)
+    ancestors = []
+    cur = t
+    for step in vertex:
+        # a leaf has no children, so every step from it is out of range
+        if not 0 <= step < len(cur.children):
+            raise TreeError(f"invalid vertex address {tuple(vertex)[len(ancestors):]!r}")
+        ancestors.append(cur)
+        cur = cur.children[step]
+    # rebuild the path bottom-up, each ancestor with one child swapped
+    for i in range(len(ancestors) - 1, -1, -1):
+        parent = ancestors[i]
+        children = list(parent.children)
+        children[vertex[i]] = replacement
+        replacement = _intern(parent.label, tuple(children))
+    return replacement
 
 
 def subtrees(t: TreeMonomial) -> Iterator[tuple[tuple[int, ...], TreeMonomial]]:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from operad_gsb import cli
+from operad_gsb import cli, enumeration
 from operad_gsb.cli import main
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -180,19 +180,22 @@ def test_count_layout_pinned(capsys):
 
 
 def test_count_reports_oracle_guard(capsys, monkeypatch):
-    # an arity the oracle guard skips prints "-" and says so on stderr
-    monkeypatch.setattr(cli, "ORACLE_GUARD", 100)
+    # the guard counts the oracle's columns, 2 * sum_i C_i C_(m-i) at
+    # dendriform arity m: 96 at arity 5 (which has 224 trees) pass, 330 at
+    # arity 6 do not.  A skipped arity prints "-" and says so on stderr,
+    # and every later arity is skipped at the same one.
+    monkeypatch.setattr(enumeration, "ORACLE_GUARD", 100)
     code, out, err = run(
         capsys, "count", "--preset", "dendriform", "--order", "succ<prec",
-        "--n-max", "6", "--oracle-max", "6",
+        "--n-max", "7", "--oracle-max", "7",
     )
     assert code == 0
     assert [line.split()[3] for line in out.splitlines()[1:]] == [
-        "1", "2", "5", "14", "-", "-",
+        "1", "2", "5", "14", "42", "-", "-",
     ]
     assert err == (
-        "warning: oracle skipped at arity 5: 224 monomials exceed the guard of 100\n"
-        "warning: oracle skipped at arity 6: 1344 monomials exceed the guard of 100\n"
+        "warning: oracle skipped at arity 6: 330 columns at arity 6 exceed the oracle guard of 100\n"
+        "warning: oracle skipped at arity 7: 330 columns at arity 6 exceed the oracle guard of 100\n"
     )
 
 

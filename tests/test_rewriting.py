@@ -73,6 +73,21 @@ def test_find_occurrences_examples(dend):
     narrow, wide = og.node(f2, LEAF, LEAF), og.node(f3, LEAF, LEAF, LEAF)
     assert find(wide, narrow) == [] and find(narrow, wide) == []
     assert PatternIndex([narrow]).root_matches(wide) == ()
+    # a lead's leaf child captures an internal ambient child
+    lead = L(prec, succ)
+    ambient = og.node(prec, og.node(succ, LEAF, LEAF), og.node(prec, LEAF, LEAF))
+    assert [o.vertex for o in find(ambient, lead)] == [()]
+    assert PatternIndex([lead]).root_matches(ambient) == (lead,)
+    # a lead's internal child never matches an ambient leaf
+    lead = R(prec, succ)
+    ambient = L(prec, succ)
+    assert find(ambient, lead) == []
+    assert PatternIndex([lead]).root_matches(ambient) == ()
+    # nor a child that shares its name but not its arity
+    lead = og.node(prec, narrow, LEAF)
+    ambient = og.node(prec, wide, LEAF)
+    assert find(ambient, lead) == []
+    assert PatternIndex([lead]).root_matches(ambient) == ()
 
 
 def test_occurrences_in_preorder(quad):
@@ -110,6 +125,13 @@ def test_occurrences_match_brute_force(seed, quad):
         if (occ := match_at(ambient, vertex, pattern)) is not None
     ]
     assert list(og.occurrences(ambient, patterns)) == expected
+    # the index, filtered by child labels, answers like matching every
+    # distinct pattern in list order
+    index = PatternIndex(patterns)
+    for _, sub in subtrees(ambient):
+        assert index.root_matches(sub) == tuple(
+            p for p in dict.fromkeys(patterns) if match_at(sub, (), p) is not None
+        )
 
 
 @given(seed=st.integers(0, 10**9))

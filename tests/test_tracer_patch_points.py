@@ -3,6 +3,7 @@ name it wraps must still exist, and a traced call must reach it."""
 
 import operad_gsb as og
 from operad_gsb.rewriting import Reducer, RewriteRule
+from operad_gsb.trees import replace_at
 
 from conftest import load_bench_module
 
@@ -21,6 +22,11 @@ def test_tracer_patches_and_restores(dend, dend_up):
         )
         p = og.TreePolynomial.monomial(mono)
         assert reducer.reduce(p) == reducer.reduce(p)
+        # earlier tests may keep the reduction's trees alive; trees with a
+        # label no other test uses are new here, whichever way they are built
+        fresh = og.node(og.OperationSymbol("traced"), leaf, leaf)
+        og.graft(fresh, [fresh, leaf])
+        replace_at(fresh, (1,), fresh)
     finally:
         tracer.restore()
     assert vars(Reducer)["reduce"] is original
@@ -30,3 +36,6 @@ def test_tracer_patches_and_restores(dend, dend_up):
     # reduction steps embed through the wrapped rewriting.graft/replace_at
     assert tracer.leaves["trees.graft"][0] > 0
     assert tracer.leaves["trees.replace_at"][0] > 0
+    # the constructor, graft and replace_at each made a tree through the
+    # patched constructor body
+    assert tracer.counters["trees.TreeMonomial.created"] >= 3

@@ -98,6 +98,18 @@ def test_dropped_tree_is_released():
     gc.collect()
     assert ref() is None
     assert len(trees._INTERNED[sym]) == 0
+    # trees built by grafting and by replacing a subtree leave too
+    t = og.node(sym, og.node(sym, LEAF, LEAF), LEAF)
+    grafted = og.graft(t, [og.node(sym, LEAF, LEAF), LEAF, t])
+    replaced = replace_at(grafted, (0, 0), t)
+    assert len(trees._INTERNED[sym]) > 3
+    refs = [weakref.ref(u) for u in (t, grafted, replaced)]
+    del t, grafted, replaced
+    # the graft memo holds its last trees until it is cleared
+    trees._memo_graft.cache_clear()
+    gc.collect()
+    assert all(r() is None for r in refs)
+    assert len(trees._INTERNED[sym]) == 0
 
 
 def test_graft_builds_left_comb():
