@@ -31,7 +31,7 @@ from .enumeration import (
     GuardError,
     catalan,
     count_normal,
-    dimension_by_linear_algebra,
+    oracle_dimensions,
     quadri_dim,
 )
 from .ordering import OperationOrder
@@ -241,6 +241,22 @@ def _formula_for(pres: Presentation):
     return None
 
 
+def _oracle_column(pres: Presentation, n: int) -> dict[int, int]:
+    """The rank oracle's dimensions of arities 1..``n``, from one quotient
+    grown arity by arity.  Once it refuses an arity, every later one is
+    refused at that same arity; each refused arity gets a warning on
+    stderr and no entry."""
+    column: dict[int, int] = {}
+    dims = oracle_dimensions(pres)
+    try:
+        for arity in range(1, n + 1):
+            column[arity] = next(dims)
+    except GuardError as exc:
+        for arity in range(len(column) + 1, n + 1):
+            sys.stderr.write(f"warning: oracle skipped at arity {arity}: {exc}\n")
+    return column
+
+
 def _cmd_count(args) -> int:
     if args.n_max < 1:
         raise UsageError(f"--n-max must be at least 1, got {args.n_max}")
@@ -250,25 +266,14 @@ def _cmd_count(args) -> int:
     if report.status != STATUS_CONFIRMED:
         sys.stderr.write(f"warning: basis not confirmed ({report.status})\n")
     formula = _formula_for(pres)
+    oracle = _oracle_column(pres, min(args.n_max, args.oracle_max))
     rows = []
-    # the oracle builds every arity up to n, so once it refuses one, it
-    # refuses every later n at that same arity
-    refused = None
     for n in range(1, args.n_max + 1):
-        oracle = None
-        if n <= args.oracle_max:
-            if refused is None:
-                try:
-                    oracle = dimension_by_linear_algebra(pres, n)
-                except GuardError as exc:
-                    refused = exc
-            if refused is not None:
-                sys.stderr.write(f"warning: oracle skipped at arity {n}: {refused}\n")
         rows.append({
             "arity": n,
             "normal_count": count_normal(basis, n),
             "formula_value": formula(n) if formula else None,
-            "oracle_value": oracle,
+            "oracle_value": oracle.get(n),
         })
     if args.format == "json":
         _emit(json.dumps(rows, indent=2), args.out)

@@ -10,11 +10,11 @@ elements from the second iteration on; the final basis is self-reduced
 once after the loop terminates.
 
 Self-reduction is the plain loop "normal-form each rule modulo the
-others; on the first change, start again from the top".  The reducers
-of one call share a pattern index over a fixed set of leads, rebuilt
-only when a rewritten rule brings a new lead; a lead matches a subtree
-or not whichever rules hold it, and each reducer reads only its own
-leads, so the index's memo never goes stale.
+others; on the first change, start again from the top", run on one
+reducer over the whole list per pass.  A lead occurs in a monomial of
+its own arity only as that whole monomial, so a rule's monomials reduce
+modulo the others as modulo all rules, save the first step on its lead,
+which skips the rule itself at the root.
 
 Enumeration is over ordered pairs: ``small_common_multiples(f, g)`` lists
 the multiples where ``f`` embeds at or inside the root occurrence of
@@ -32,7 +32,6 @@ from .polynomials import TreePolynomial, format_polynomial
 from .rewriting import (
     DEFAULT_STEP_LIMIT,
     Occurrence,
-    PatternIndex,
     Reducer,
     RewriteRule,
     add_embedding,
@@ -246,26 +245,42 @@ def self_reduce(
     (or dropped if that is zero), and the search starts again from the
     top.  A polynomial equals its normal form exactly when it has no
     redex, so the check is a redex lookup; it fills the reducer's cache
-    that the reduction then reads.  The reducers share one
-    ``PatternIndex`` per set of leads, rebuilt when a rewrite brings a
-    new lead, so a subtree is matched against a lead once per index.
+    that the reduction then reads.
+
+    One reducer over the whole list serves each pass, so a pass builds
+    one reducer and a call builds one per rewrite, plus one.  This is
+    exact because every operation has arity at least 2: a proper
+    occurrence of a pattern adds a leaf, so a lead occurs in a monomial
+    of its own arity only as that whole monomial.  Rule ``i``'s tail, and
+    every monomial met after the first step on its lead, has that arity
+    and is smaller than the lead, so it reduces alike with or without
+    rule ``i``.  Only the first redex of the lead itself must skip rule
+    ``i`` at the root (``Reducer.lead_redex``); with none, the lead
+    stays as it is.  That first step is taken here, outside
+    ``Reducer.reduce``, so the step limit bounds only the steps after it.
     """
     out = list(rules)
-    index = PatternIndex(r.lead for r in out)
     while True:
+        reducer = Reducer(out, ord, step_limit)
         for i, rule in enumerate(out):
-            reducer = Reducer(out[:i] + out[i + 1 :], ord, step_limit, index)
-            if any(reducer.first_redex(m) for m in (rule.lead, *rule.tail.terms)):
+            redex = reducer.lead_redex(i)
+            if redex is not None or any(reducer.first_redex(m) for m in rule.tail.terms):
                 break
         else:
             return tuple(out)
-        nf = reducer.reduce(rule.polynomial)
+        if redex is None:
+            # the lead is normal modulo the others, and no step recreates it
+            nf = TreePolynomial.monomial(rule.lead) + reducer.reduce(rule.tail)
+        else:
+            # the first step on the monic lead: minus the other rule's tail
+            _, idx, occ = redex
+            terms = dict(rule.tail.terms)
+            add_embedding(terms, -1, out[idx].tail, rule.lead, occ)
+            nf = reducer.reduce(TreePolynomial(terms, rule.arity))
         if nf.is_zero:
             del out[i]
         else:
             out[i] = RewriteRule.from_polynomial(nf, ord)
-            if out[i].lead not in index.leads:
-                index = PatternIndex(r.lead for r in out)
 
 
 def _validate_input(relations: Sequence[TreePolynomial], ord: OperationOrder) -> None:

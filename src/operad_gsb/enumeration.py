@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import comb
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .completion import GSBasis
 from .presets import Presentation
@@ -37,6 +38,7 @@ __all__ = [
     "enumerate_normal",
     "count_normal",
     "dimension_by_linear_algebra",
+    "oracle_dimensions",
     "GuardError",
 ]
 
@@ -180,7 +182,15 @@ def count_normal(basis: GSBasis, n: int) -> int:
 
 def dimension_by_linear_algebra(pres: Presentation, n: int) -> int:
     """Arity-``n`` dimension of the quotient operad P, built arity by arity
-    over the rationals.
+    over the rationals (see ``oracle_dimensions``)."""
+    if n < 1:
+        raise TreeError(f"arity must be >= 1, got {n}")
+    return next(islice(oracle_dimensions(pres), n - 1, None))
+
+
+def oracle_dimensions(pres: Presentation) -> Iterator[int]:
+    """dim P(1), dim P(2), ... of the quotient operad P, each arity built
+    on the ones before it, so a table of arities 1..n builds each once.
 
     P(1) is the identity.  For m >= 2 the columns of arity m are the
     blocks P(a_1) (x) ... (x) P(a_k), one for each operation f of arity k
@@ -195,15 +205,14 @@ def dimension_by_linear_algebra(pres: Presentation, n: int) -> int:
     Independent of the rewriting machinery: it uses the presentation
     alone, with no order, reducer or basis.  The guard bounds the work by
     the columns, not the trees: an arity with more than ``ORACLE_GUARD``
-    columns is refused with a ``GuardError`` before its elimination, so
-    every larger ``n`` is refused at that arity too.
+    columns is refused with a ``GuardError`` before its elimination, and
+    the iteration ends there.
     """
-    if n < 1:
-        raise TreeError(f"arity must be >= 1, got {n}")
     quotient = _Quotient(pres)
-    for _ in range(n - 1):
+    yield 1
+    while True:
         quotient.add_arity()
-    return quotient.dims[n]
+        yield quotient.dims[-1]
 
 
 class _Quotient:

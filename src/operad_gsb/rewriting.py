@@ -16,7 +16,11 @@ The redex used on a monomial is pinned (first occurrence vertex in
 preorder, then first rule in list order), so the normal form of a
 polynomial is the coefficient-weighted sum of its monomials' normal
 forms and does not depend on the pick; completion counts and traces
-reproduce bit-for-bit across runs.
+reproduce bit-for-bit across runs.  A ``Reducer`` owns every table it
+matches with: its rules grouped by the shape of their leads' roots and
+its per-subtree first-redex cache.  ``Reducer.lead_redex`` gives a
+rule's lead its first redex by the other rules, which is all that
+``completion.self_reduce`` needs beyond the reducer over the whole list.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .ordering import OperationOrder
 from .polynomials import TreePolynomial, add
@@ -36,7 +40,6 @@ __all__ = [
     "Occurrence",
     "RewriteRule",
     "ReductionError",
-    "PatternIndex",
     "occurrences",
     "match_at",
     "add_embedding",
@@ -92,69 +95,6 @@ def _match(ambient: TreeMonomial, pattern: TreeMonomial) -> list[TreeMonomial] |
             return None
         bindings.extend(sub)
     return bindings
-
-
-class PatternIndex:
-    """A fixed set of rule leads, grouped by the shape of their root, plus
-    a memo of which of them match at the root of each subtree read.
-
-    Trees are hash-consed, so the leads matching at a vertex depend on the
-    vertex's subtree alone: one memo, keyed by subtree, serves every tree
-    that contains it and every reducer that reads the index (the bottom-up
-    view of Hoffmann and O'Donnell, "Pattern matching in trees", JACM
-    29(1), 1982).  The leads are trees too, so they key themselves.
-
-    A subtree is matched only against the candidates of its shape: its
-    root label and the label of each child, ``None`` for a leaf.  A lead
-    is a candidate when it has that root label and each of its children
-    is a leaf or carries the child label at that place, since any other
-    lead already fails one level down (McCune's discrimination by the
-    symbols below the root, JAR 9, 1992).  Candidates keep the order the
-    leads were given in, and each shape's list is built when a subtree of
-    that shape is first read.  The leads, each with an internal vertex,
-    are given once (a repeat counts once); a reader that needs another
-    lead builds another index.  The memo keeps every subtree it has read
-    alive for as long as the index lives.
-    """
-
-    __slots__ = ("leads", "_by_root", "_by_shape", "_memo")
-
-    def __init__(self, leads: Iterable[TreeMonomial]) -> None:
-        unique = dict.fromkeys(leads)
-        self.leads = frozenset(unique)
-        # root label -> leads, in the order given
-        self._by_root: dict[OperationSymbol, list[TreeMonomial]] = {}
-        for lead in unique:
-            self._by_root.setdefault(lead.label, []).append(lead)
-        # (root label, child labels...) -> its candidates, () when none fit
-        self._by_shape: dict[tuple, tuple[TreeMonomial, ...]] = {}
-        # subtree -> the leads that match at its root, () when none do
-        self._memo: dict[TreeMonomial, tuple[TreeMonomial, ...]] = {}
-
-    def root_matches(self, sub: TreeMonomial) -> tuple[TreeMonomial, ...]:
-        """The leads that match at the root of the internal vertex ``sub``;
-        memoized per subtree."""
-        found = self._memo.get(sub)
-        if found is None:
-            shape = (sub.label, *[child.label for child in sub.children])
-            candidates = self._by_shape.get(shape)
-            if candidates is None:
-                candidates = self._by_shape[shape] = tuple(
-                    lead
-                    for lead in self._by_root.get(sub.label, ())
-                    if all(
-                        p.label is None or p.label is label
-                        for p, label in zip(lead.children, shape[1:])
-                    )
-                )
-            if candidates:
-                found = tuple(
-                    [lead for lead in candidates if _match(sub, lead) is not None]
-                )
-            else:
-                found = ()
-            self._memo[sub] = found
-        return found
 
 
 def occurrences(
@@ -249,19 +189,24 @@ class Reducer:
 
     Caches, per subtree, the first redex under the deterministic
     strategy (first occurrence vertex in preorder, then first rule).  A
-    tree's first redex is its root's first-ranked match if there is one,
-    else the first redex of its first child that has one, with that
-    child's index put in front of the vertex.  Trees are hash-consed, so
-    the image of a rewrite step shares every subtree off the rewritten
-    path with the tree it came from: looking it up costs one miss per
-    new vertex (the rewritten vertex's ancestors and the grafted tail),
-    not a walk over the whole tree.  Completion reuses one reducer per
-    iteration snapshot, so the cache is shared across all the
-    S-polynomials of an iteration.  Root matches are read from a
-    ``PatternIndex``: one built over the reducer's own leads, or an
-    ``index`` passed in and shared with reducers over other rule lists.
-    A passed index must hold every lead of the list; the reducer ignores
-    the leads of other lists.
+    tree's first redex is its root's first match in rule order if there
+    is one, else the first redex of its first child that has one, with
+    that child's index put in front of the vertex.  Trees are
+    hash-consed, so the image of a rewrite step shares every subtree off
+    the rewritten path with the tree it came from: looking it up costs
+    one miss per new vertex (the rewritten vertex's ancestors and the
+    grafted tail), not a walk over the whole tree.  Completion reuses one
+    reducer per iteration snapshot, so the cache is shared across all the
+    S-polynomials of an iteration.
+
+    A subtree is matched at its root only against the candidates of its
+    shape: its root label and the label of each child, ``None`` for a
+    leaf.  A rule is a candidate when its lead has that root label and
+    each of the lead's children is a leaf or carries the child label at
+    that place, since any other lead already fails one level down
+    (McCune's discrimination by the symbols below the root, JAR 9, 1992).
+    A shape's ``(rule index, lead)`` candidates keep the list order and
+    are listed when a subtree of that shape is first read.
     """
 
     def __init__(
@@ -269,21 +214,17 @@ class Reducer:
         rules: Sequence[RewriteRule],
         ord: OperationOrder,
         step_limit: int = DEFAULT_STEP_LIMIT,
-        index: PatternIndex | None = None,
     ):
         self.rules = tuple(rules)
         self.ord = ord
         self.step_limit = step_limit
         self._first_redex: dict[TreeMonomial, tuple | None] = {}
-        # lead -> first rule with that lead
-        self._rank: dict[TreeMonomial, int] = {}
+        # root label -> (rule index, lead), in list order
+        self._by_root: dict[OperationSymbol, list[tuple[int, TreeMonomial]]] = {}
         for idx, rule in enumerate(self.rules):
-            self._rank.setdefault(rule.lead, idx)
-        if index is None:
-            index = PatternIndex(self._rank)
-        elif not index.leads.issuperset(self._rank):
-            raise TreeError("the pattern index lacks a lead of this rule list")
-        self._index = index
+            self._by_root.setdefault(rule.lead.label, []).append((idx, rule.lead))
+        # (root label, child labels...) -> its candidates, () when none fit
+        self._by_shape: dict[tuple, tuple[tuple[int, TreeMonomial], ...]] = {}
 
     def first_redex(self, m: TreeMonomial) -> tuple | None:
         """Smallest (vertex, rule index, occurrence) triple in ``m``, if any."""
@@ -291,18 +232,38 @@ class Reducer:
             return None
         return self._redex(m)
 
-    def _redex(self, m: TreeMonomial) -> tuple | None:
-        # the preorder search, one frame per level: the root's ranked
-        # match, else the first child's first redex, one level down
+    def lead_redex(self, i: int) -> tuple | None:
+        """The first redex of rule ``i``'s own lead by the other rules: rule
+        ``i`` is not tried at the root, and the children answer from the
+        cache as usual.  Rule indices are those of the whole list."""
+        return self._redex(self.rules[i].lead, i)
+
+    def _redex(self, m: TreeMonomial, skip: int = -1) -> tuple | None:
+        # the preorder search, one frame per level: the root's first
+        # matching candidate, else the first child's first redex, one
+        # level down.  With a rule to ``skip`` the answer is not ``m``'s
+        # own, so the cache is neither read nor written.
         memo = self._first_redex
-        if m in memo:
+        if skip < 0 and m in memo:
             return memo[m]
         redex = None
-        rank = self._rank
-        ranked = [rank[lead] for lead in self._index.root_matches(m) if lead in rank]
-        if ranked:
-            idx = min(ranked)
-            redex = ((), idx, Occurrence((), tuple(_match(m, self.rules[idx].lead))))
+        shape = (m.label, *[child.label for child in m.children])
+        candidates = self._by_shape.get(shape)
+        if candidates is None:
+            candidates = self._by_shape[shape] = tuple(
+                (idx, lead)
+                for idx, lead in self._by_root.get(m.label, ())
+                if all(
+                    p.label is None or p.label is label
+                    for p, label in zip(lead.children, shape[1:])
+                )
+            )
+        for idx, lead in candidates:
+            if idx != skip:
+                bindings = _match(m, lead)
+                if bindings is not None:
+                    redex = ((), idx, Occurrence((), tuple(bindings)))
+                    break
         else:
             for i, child in enumerate(m.children):
                 if child.label is not None:
@@ -311,7 +272,8 @@ class Reducer:
                         vertex = (i,) + below[0]
                         redex = (vertex, below[1], Occurrence(vertex, below[2].bindings))
                         break
-        memo[m] = redex
+        if skip < 0:
+            memo[m] = redex
         return redex
 
     def reduce(

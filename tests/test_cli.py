@@ -199,6 +199,31 @@ def test_count_reports_oracle_guard(capsys, monkeypatch):
     )
 
 
+def test_count_builds_each_oracle_arity_once(capsys, monkeypatch):
+    # one quotient grows across the rows of a table, so a table up to n
+    # builds arities 2..n once each, and a refused arity ends the building
+    built = []
+    real = enumeration._Quotient.add_arity
+
+    def add_arity(self):
+        built.append(len(self.dims))
+        real(self)
+
+    monkeypatch.setattr(enumeration._Quotient, "add_arity", add_arity)
+    args = ("count", "--preset", "dendriform", "--order", "succ<prec",
+            "--n-max", "7", "--oracle-max", "7", "--format", "json")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert [r["oracle_value"] for r in json.loads(out)] == [1, 2, 5, 14, 42, 132, 429]
+    assert built == [2, 3, 4, 5, 6, 7]
+    built.clear()
+    monkeypatch.setattr(enumeration, "ORACLE_GUARD", 100)
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert [r["oracle_value"] for r in json.loads(out)] == [1, 2, 5, 14, 42, None, None]
+    assert built == [2, 3, 4, 5, 6]
+
+
 def test_count_formula_follows_the_relations(capsys, tmp_path):
     # a formula belongs to a preset's relations, not to a file's name
     misnamed = tmp_path / "dendriform.rel"

@@ -5,13 +5,14 @@ import itertools
 import pytest
 
 import operad_gsb as og
+from operad_gsb import completion
 from operad_gsb.completion import (
     GSBasis,
     SmallCommonMultiple,
     s_polynomial,
     small_common_multiples,
 )
-from operad_gsb.rewriting import RewriteRule
+from operad_gsb.rewriting import Reducer, RewriteRule
 
 LEAF = og.LEAF
 
@@ -178,6 +179,39 @@ def test_self_reduce(dend, dend_up, quad, quad_cbda):
     assert og.self_reduce((rules[0], rules[0]), dend_up) == (rules[0],)
     qrules = rules_for(quad, quad_cbda)
     assert og.self_reduce(qrules, quad_cbda) == qrules
+
+
+def test_self_reduce_builds_one_reducer_per_pass(quad):
+    # on the rule list the final inter-reduction of row a<b<d<c receives,
+    # each pass reads one reducer over the whole list: one per rewrite,
+    # plus the pass that finds nothing left to reduce
+    order = og.OperationOrder.from_string("a<b<d<c", quad.signature)
+    calls = []
+    real = completion.self_reduce
+
+    def capture(rules, ord, step_limit=10**6):
+        calls.append(tuple(rules))
+        return real(rules, ord, step_limit)
+
+    class Counting(Reducer):
+        built = rewrites = 0
+
+        def __init__(self, *args):
+            Counting.built += 1
+            super().__init__(*args)
+
+        def reduce(self, p, *args, **kwargs):
+            Counting.rewrites += 1
+            return super().reduce(p, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(completion, "self_reduce", capture)
+        og.complete(quad.relations, order)
+        mp.setattr(completion, "Reducer", Counting)
+        got = real(calls[-1], order)
+    # every rule dropped took a rewrite of its own
+    assert Counting.rewrites >= len(calls[-1]) - len(got) > 0
+    assert Counting.built == Counting.rewrites + 1
 
 
 def test_is_gsb(dend, dend_down, dend_basis_down, quad, quad_cdba):

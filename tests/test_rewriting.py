@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 import operad_gsb as og
 from operad_gsb.completion import small_common_multiples, s_polynomial
 from operad_gsb.rewriting import (
-    PatternIndex,
     ReductionError,
     Reducer,
     RewriteRule,
@@ -56,6 +55,13 @@ def drules(dend, dend_up):
     return tuple(RewriteRule.from_polynomial(r, dend_up) for r in dend.relations)
 
 
+def first_redex(leads, ambient):
+    """The first redex of ``ambient`` by rules with these leads and zero
+    tails, as a reducer finds it; a redex lookup reads no order."""
+    rules = [RewriteRule(lead, og.TreePolynomial.zero(lead.arity)) for lead in leads]
+    return Reducer(rules, None).first_redex(ambient)
+
+
 def test_find_occurrences_examples(dend):
     prec, succ = dend.signature.symbols
     ambient = LL(prec, prec, succ)
@@ -72,22 +78,22 @@ def test_find_occurrences_examples(dend):
     f2, f3 = og.OperationSymbol("f", 2), og.OperationSymbol("f", 3)
     narrow, wide = og.node(f2, LEAF, LEAF), og.node(f3, LEAF, LEAF, LEAF)
     assert find(wide, narrow) == [] and find(narrow, wide) == []
-    assert PatternIndex([narrow]).root_matches(wide) == ()
+    assert first_redex([narrow], wide) is None
     # a lead's leaf child captures an internal ambient child
     lead = L(prec, succ)
     ambient = og.node(prec, og.node(succ, LEAF, LEAF), og.node(prec, LEAF, LEAF))
     assert [o.vertex for o in find(ambient, lead)] == [()]
-    assert PatternIndex([lead]).root_matches(ambient) == (lead,)
+    assert first_redex([lead], ambient) == ((), 0, find(ambient, lead)[0])
     # a lead's internal child never matches an ambient leaf
     lead = R(prec, succ)
     ambient = L(prec, succ)
     assert find(ambient, lead) == []
-    assert PatternIndex([lead]).root_matches(ambient) == ()
+    assert first_redex([lead], ambient) is None
     # nor a child that shares its name but not its arity
     lead = og.node(prec, narrow, LEAF)
     ambient = og.node(prec, wide, LEAF)
     assert find(ambient, lead) == []
-    assert PatternIndex([lead]).root_matches(ambient) == ()
+    assert first_redex([lead], ambient) is None
 
 
 def test_occurrences_in_preorder(quad):
@@ -125,56 +131,48 @@ def test_occurrences_match_brute_force(seed, quad):
         if (occ := match_at(ambient, vertex, pattern)) is not None
     ]
     assert list(og.occurrences(ambient, patterns)) == expected
-    # the index, filtered by child labels, answers like matching every
-    # distinct pattern in list order
-    index = PatternIndex(patterns)
+    # a reducer, filtering by child labels, finds the first of them in
+    # every subtree; one lead comes from the ambient tree, and one lead
+    # is repeated, so that the first rule with it must win
+    leads = list(patterns)
+    if ambient.label is not None:
+        leads.append(rng.choice([sub for _, sub in subtrees(ambient)]))
+    leads.insert(rng.randint(0, len(leads)), rng.choice(leads))
     for _, sub in subtrees(ambient):
-        assert index.root_matches(sub) == tuple(
-            p for p in dict.fromkeys(patterns) if match_at(sub, (), p) is not None
+        expected = next(
+            (
+                (vertex, idx, occ)
+                for vertex, _ in subtrees(sub)
+                for idx, lead in enumerate(leads)
+                if (occ := match_at(sub, vertex, lead)) is not None
+            ),
+            None,
         )
+        assert first_redex(leads, sub) == expected
 
 
 @given(seed=st.integers(0, 10**9))
 @settings(max_examples=80, deadline=None)
-def test_shared_index_answers_like_a_private_one(seed, quad):
-    # one index over the leads of several rule lists, which share some,
-    # was filled and read for one list before the others read it.  A list
-    # repeats a lead, and the first rule with it must win; the leads of
-    # the other lists must reach no reducer that lacks them.
+def test_lead_redex_skips_only_its_own_rule(seed, quad):
+    # a rule's lead, searched by the reducer over the whole list, gives
+    # the first redex by the other rules; a twin of one lead must be
+    # found at the root of the other, and the cache keeps answering with
+    # every rule
     rules, order = random_rules(seed, quad)
     rng = random.Random(seed)
     twin = rng.choice(rules).lead
     rules.insert(
         rng.randint(0, len(rules)), RewriteRule(twin, og.TreePolynomial.zero(twin.arity))
     )
-    others = rng.sample(rules, rng.randint(0, len(rules)))
-    others += random_rules(seed + 1, quad)[0]
-    rng.shuffle(others)
-    monomials = [random_tree(rng, order.ranked, rng.randint(3, 6)) for _ in range(6)]
-    m = rng.choice(monomials)
-    _, extra = rng.choice(list(subtrees(m)))
-    extra_rules = rules + [RewriteRule(extra, og.TreePolynomial.zero(extra.arity))]
-    index = PatternIndex(r.lead for r in extra_rules + others)
-    earlier = Reducer(others, order, index=index)
-    for m in monomials:
-        earlier.first_redex(m)
-    for rule_list in (rules, extra_rules, others):
-        shared = Reducer(rule_list, order, index=index)
-        private = Reducer(rule_list, order)
-        leads = [r.lead for r in rule_list]
-        for m in monomials:
-            expected = next(og.occurrences(m, leads), None)
-            assert shared.first_redex(m) == private.first_redex(m) == expected
-
-
-def test_reducer_rejects_an_index_without_its_leads(dend, dend_up):
-    # a reducer adds nothing to an index it is given
-    rules = [RewriteRule.from_polynomial(r, dend_up) for r in dend.relations]
-    index = PatternIndex(r.lead for r in rules[1:])
-    with pytest.raises(og.TreeError, match="lacks a lead"):
-        Reducer(rules, dend_up, index=index)
-    assert index.leads == {r.lead for r in rules[1:]}
-    Reducer(rules[1:], dend_up, index=index)
+    leads = [r.lead for r in rules]
+    reducer = Reducer(rules, order)
+    for i in rng.sample(range(len(rules)), len(rules)):
+        expected = next(og.occurrences(leads[i], leads[:i] + leads[i + 1 :]), None)
+        if expected is not None:
+            vertex, idx, occ = expected
+            expected = (vertex, idx + (idx >= i), occ)
+        assert reducer.lead_redex(i) == expected
+        assert reducer.first_redex(leads[i]) == next(og.occurrences(leads[i], leads))
 
 
 @given(seed=st.integers(0, 10**9))

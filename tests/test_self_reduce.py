@@ -1,6 +1,7 @@
-"""Final inter-reduction: ``self_reduce``, whose reducers share a
-pattern index per set of leads, against the same restart loop built on
-plain ``normal_form`` calls, plus its defining properties."""
+"""Final inter-reduction: ``self_reduce``, which reads one reducer over
+the whole rule list per pass, against the same restart loop built on
+plain ``normal_form`` calls modulo the others, plus its defining
+properties."""
 
 import itertools
 
@@ -81,7 +82,7 @@ def test_self_reduce_matches_restart_loop_on_sweep_row(captured_final_input):
     assert got == basis.rules
     assert got == restart_self_reduce(rules, order)
     # several rules really change or vanish on this input, and one gets a
-    # lead that no input rule has, so the shared index is rebuilt
+    # lead that no input rule has
     assert len(got) < len(rules)
     assert len(set(rules) - set(got)) > len(rules) - len(got)
     assert {r.lead for r in got} - {r.lead for r in rules}
