@@ -2,10 +2,9 @@
 
 Exit codes: 0 for success (``complete`` additionally requires a confirmed
 basis), 1 for usage or input errors, 2 when completion stopped at a cap
-(iterations or arity).  An exhausted ``--step-limit`` is not such a cap:
-the limit only guards against non-terminating rule sets, so it ends as an
-error with exit code 1.  Identical invocations produce byte-identical
-output; the sweep may run its completions in parallel
+(iterations or arity).  Reduction has no cap: every rule is oriented by
+the order, so every reduction terminates.  Identical invocations produce
+byte-identical output; the sweep may run its completions in parallel
 (``OPERAD_GSB_THREADS``, a positive integer clamped to the CPU count)
 without affecting the result.
 """
@@ -64,7 +63,6 @@ def _build_parser() -> _Parser:
             p.add_argument("--order", help='e.g. "prec<succ" or "c<b<d<a"')
         p.add_argument("--max-iterations", type=int, default=CompletionConfig.max_iterations)
         p.add_argument("--max-arity", type=int, default=CompletionConfig.max_arity)
-        p.add_argument("--step-limit", type=int, default=CompletionConfig.step_limit)
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--out", type=Path, default=None)
 
@@ -121,11 +119,7 @@ def _resolve_order(args, pres: Presentation) -> OperationOrder:
 
 
 def _config(args) -> CompletionConfig:
-    return CompletionConfig(
-        max_iterations=args.max_iterations,
-        max_arity=args.max_arity,
-        step_limit=args.step_limit,
-    )
+    return CompletionConfig(max_iterations=args.max_iterations, max_arity=args.max_arity)
 
 
 @contextlib.contextmanager
@@ -214,7 +208,7 @@ def _cmd_reduce(args) -> int:
             )
         rules = basis.rules
     trace: list | None = [] if args.trace else None
-    nf = normal_form(poly, rules, ord, cfg.step_limit, trace=trace)
+    nf = normal_form(poly, rules, ord, trace=trace)
     body = format_polynomial(nf, ord)
     if args.format == "json":
         doc = {"input": args.polynomial, "normal_form": body}

@@ -30,7 +30,6 @@ from typing import Sequence
 from .ordering import OperationOrder
 from .polynomials import TreePolynomial, format_polynomial
 from .rewriting import (
-    DEFAULT_STEP_LIMIT,
     Occurrence,
     Reducer,
     RewriteRule,
@@ -83,10 +82,9 @@ class CompletionConfig:
 
     max_iterations: int = 2
     max_arity: int = 12
-    step_limit: int = DEFAULT_STEP_LIMIT
 
     def __post_init__(self) -> None:
-        if min(self.max_iterations, self.max_arity, self.step_limit) < 1:
+        if min(self.max_iterations, self.max_arity) < 1:
             raise TreeError("completion caps must be positive")
 
 
@@ -231,9 +229,7 @@ def s_polynomial(
 
 
 def self_reduce(
-    rules: Sequence[RewriteRule],
-    ord: OperationOrder,
-    step_limit: int = DEFAULT_STEP_LIMIT,
+    rules: Sequence[RewriteRule], ord: OperationOrder
 ) -> tuple[RewriteRule, ...]:
     """Reduce every rule modulo the others; drop the ones that vanish.
 
@@ -257,11 +253,11 @@ def self_reduce(
     rule ``i``.  Only the first redex of the lead itself must skip rule
     ``i`` at the root (``Reducer.lead_redex``); with none, the lead
     stays as it is.  That first step is taken here, outside
-    ``Reducer.reduce``, so the step limit bounds only the steps after it.
+    ``Reducer.reduce``; like every other step it descends in the order.
     """
     out = list(rules)
     while True:
-        reducer = Reducer(out, ord, step_limit)
+        reducer = Reducer(out, ord)
         for i, rule in enumerate(out):
             redex = reducer.lead_redex(i)
             if redex is not None or any(reducer.first_redex(m) for m in rule.tail.terms):
@@ -319,7 +315,7 @@ def _check_compositions(
     the records in that order and whether the arity cap skipped any
     candidate multiple.
     """
-    reducer = Reducer(rules, ord, cfg.step_limit)
+    reducer = Reducer(rules, ord)
     records: list[CompositionRecord] = []
     skipped_any = False
     for j_outer, g in enumerate(rules):
@@ -355,9 +351,7 @@ def complete(
     """
     cfg = cfg or CompletionConfig()
     _validate_input(relations, ord)
-    rules = self_reduce(
-        [RewriteRule.from_polynomial(r, ord) for r in relations], ord, cfg.step_limit
-    )
+    rules = self_reduce([RewriteRule.from_polynomial(r, ord) for r in relations], ord)
     first_new = 0
     iterations: list[IterationRecord] = []
     pair_log: list[list] = []
@@ -379,7 +373,7 @@ def complete(
         if not survivors:
             status = STATUS_ARITY_CAP if arity_skipped else STATUS_CONFIRMED
             break
-    final_rules = self_reduce(rules, ord, cfg.step_limit)
+    final_rules = self_reduce(rules, ord)
     basis = GSBasis(final_rules, ord)
     report = CompletionReport(
         order=ord.as_string(),

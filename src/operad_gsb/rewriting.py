@@ -3,11 +3,13 @@
 A rewrite rule is a monic polynomial oriented by its leading monomial:
 ``lead + tail`` with every tail monomial strictly smaller, read as the
 replacement ``lead -> -tail``.  A reduction step replaces an embedded
-copy of a lead with the embedded tail; because the order is compatible
-with grafting this strictly descends, so reduction terminates (a
-configurable step limit guards against bugs only).  The step and the
-S-polynomials of ``completion`` share one operation, ``add_embedding``:
-add a multiple of a polynomial, embedded at an occurrence, to a term map.
+copy of a lead with the embedded tail.  The order is compatible with
+grafting, so the step strictly descends, and a fixed arity has finitely
+many monomials, so reduction terminates.  That rests on every tail
+being below its lead, so a ``Reducer`` refuses a rule list the order
+does not orient and counts no steps.  The step and the S-polynomials of
+``completion`` share one operation, ``add_embedding``: add a multiple of
+a polynomial, embedded at an occurrence, to a term map.
 
 Reduction is one loop of that step; its three schedules differ only in
 how they pick the next monomial.  The default pops a worklist, tracing
@@ -48,11 +50,8 @@ __all__ = [
     "Reducer",
 ]
 
-DEFAULT_STEP_LIMIT = 10**6
-
-
 class ReductionError(TreeError):
-    """Reduction exceeded its step limit (a mis-oriented rule set)."""
+    """A rule list the order does not orient, refused by ``Reducer``."""
 
 
 @dataclass(frozen=True)
@@ -207,17 +206,20 @@ class Reducer:
     (McCune's discrimination by the symbols below the root, JAR 9, 1992).
     A shape's ``(rule index, lead)`` candidates keep the list order and
     are listed when a subtree of that shape is first read.
+
+    Every tail monomial must be smaller than its lead, which is what
+    makes reduction terminate; a rule list that breaks this is refused.
+    Only a rule with a nonzero tail reads the order.
     """
 
-    def __init__(
-        self,
-        rules: Sequence[RewriteRule],
-        ord: OperationOrder,
-        step_limit: int = DEFAULT_STEP_LIMIT,
-    ):
+    def __init__(self, rules: Sequence[RewriteRule], ord: OperationOrder):
         self.rules = tuple(rules)
         self.ord = ord
-        self.step_limit = step_limit
+        for idx, rule in enumerate(self.rules):
+            if rule.tail.terms:
+                lead_key = ord.monomial_key(rule.lead)
+                if any(ord.monomial_key(m) >= lead_key for m in rule.tail.terms):
+                    raise ReductionError(f"rule {idx} is not oriented by the order")
         self._first_redex: dict[TreeMonomial, tuple | None] = {}
         # root label -> (rule index, lead), in list order
         self._by_root: dict[OperationSymbol, list[tuple[int, TreeMonomial]]] = {}
@@ -298,7 +300,6 @@ class Reducer:
         terms = dict(p.terms)
         worklist = list(terms) if rng is None and trace is None else None
         key = self.ord.monomial_key
-        steps = 0
         while True:
             m = redex = None
             if worklist is not None:
@@ -322,11 +323,6 @@ class Reducer:
             if redex is None:
                 return TreePolynomial(terms, p.arity)
             vertex, idx, occ = redex
-            steps += 1
-            if steps > self.step_limit:
-                raise ReductionError(
-                    f"reduction exceeded step limit of {self.step_limit}"
-                )
             if trace is not None:
                 trace.append((idx, vertex))
             created = add_embedding(terms, -terms.pop(m), self.rules[idx].tail, m, occ)
@@ -338,8 +334,8 @@ def normal_form(
     p: TreePolynomial,
     rules: Sequence[RewriteRule],
     ord: OperationOrder,
-    step_limit: int = DEFAULT_STEP_LIMIT,
+    *,
     trace: list | None = None,
 ) -> TreePolynomial:
     """Reduce ``p`` until no monomial is divisible by any rule's lead."""
-    return Reducer(rules, ord, step_limit).reduce(p, trace=trace)
+    return Reducer(rules, ord).reduce(p, trace=trace)

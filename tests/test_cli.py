@@ -414,17 +414,6 @@ def test_count_beyond_the_listing_guard(capsys):
     assert all(r["normal_count"] == r["formula_value"] for r in rows)
 
 
-def test_step_limit_is_an_error_not_a_cap(capsys):
-    # the step limit guards against non-terminating rule sets, so running
-    # out of it is an error (exit 1), unlike the completion caps (exit 2)
-    code, out, err = run(
-        capsys, "complete", "--preset", "dendriform", "--order", "succ<prec",
-        "--step-limit", "1",
-    )
-    assert code == 1 and out == ""
-    assert err == "error: reduction exceeded step limit of 1\n"
-
-
 def test_reduce_checks_caps_on_both_sources(capsys):
     # a relation file is reduced against without completion, yet its caps
     # are checked and reported as the preset's are
@@ -435,8 +424,6 @@ def test_reduce_checks_caps_on_both_sources(capsys):
     caps = [
         ("--max-iterations", "0"),
         ("--max-arity", "0"),
-        ("--step-limit", "0"),
-        ("--step-limit", "-1"),
     ]
     for source in sources:
         for cap in caps:
@@ -446,6 +433,13 @@ def test_reduce_checks_caps_on_both_sources(capsys):
             )
             assert (code, out) == (1, ""), (source, cap)
             assert err == "error: completion caps must be positive\n", (source, cap)
+        # reduction has no step cap to set
+        code, out, err = run(
+            capsys, "reduce", *source, "--order", "prec<succ",
+            "(prec (prec * *) *)", "--step-limit", "1",
+        )
+        assert (code, out) == (1, ""), source
+        assert err == "error: unrecognized arguments: --step-limit 1\n", source
 
 
 def test_unwritable_out_is_an_error(capsys, tmp_path, monkeypatch):

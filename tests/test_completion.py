@@ -189,9 +189,9 @@ def test_self_reduce_builds_one_reducer_per_pass(quad):
     calls = []
     real = completion.self_reduce
 
-    def capture(rules, ord, step_limit=10**6):
+    def capture(rules, ord):
         calls.append(tuple(rules))
-        return real(rules, ord, step_limit)
+        return real(rules, ord)
 
     class Counting(Reducer):
         built = rewrites = 0

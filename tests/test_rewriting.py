@@ -1,6 +1,7 @@
 """Occurrence search, the embedding step, S-polynomials, normal forms."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -335,21 +336,44 @@ def test_strict_descent(seed, dend, dend_up, drules):
         p = q
 
 
-def test_step_limit_guard(dend, dend_up):
+def test_unoriented_rules_are_refused(dend, dend_up, drules):
     prec, succ = dend.signature.symbols
     x = og.node(prec, LEAF, LEAF)
     y = og.node(succ, LEAF, LEAF)
-    # two mis-oriented rules that swap the corollas forever
+    # two rules that would swap the corollas forever; under prec<succ the
+    # first one rewrites x to the greater y
     loop = (
         RewriteRule(x, og.TreePolynomial({y: -1})),
         RewriteRule(y, og.TreePolynomial({x: -1})),
     )
-    with pytest.raises(ReductionError, match="cycle|step limit"):
-        og.normal_form(og.TreePolynomial.monomial(x), loop, dend_up, step_limit=10)
-    with pytest.raises(ReductionError, match="cycle|step limit"):
-        Reducer(loop, dend_up, step_limit=10).reduce(
-            og.TreePolynomial.monomial(x), rng=random.Random(0)
-        )
+    with pytest.raises(ReductionError, match="not oriented"):
+        Reducer(loop, dend_up)
+    with pytest.raises(ReductionError, match="not oriented"):
+        og.normal_form(og.TreePolynomial.monomial(x), loop, dend_up)
+    # the trace is keyword-only, so a stray positional argument is refused
+    # rather than taken as the trace list
+    with pytest.raises(TypeError):
+        og.normal_form(og.TreePolynomial.monomial(x), drules, dend_up, [])
+
+
+@given(seed=st.integers(0, 10**9))
+@settings(max_examples=80, deadline=None)
+def test_reducer_refuses_a_reoriented_rule(seed, quad):
+    # rules oriented by the order are accepted; making one rule's greatest
+    # tail monomial its lead is refused, naming that rule
+    rules, order = random_rules(seed, quad)
+    Reducer(rules, order)
+    tailed = [i for i, rule in enumerate(rules) if rule.tail.terms]
+    if not tailed:
+        return
+    i = random.Random(seed).choice(tailed)
+    p = rules[i].polynomial
+    lead = max(rules[i].tail.terms, key=order.monomial_key)
+    c = Fraction(p.terms[lead])
+    rest = og.TreePolynomial({m: v / c for m, v in p.terms.items() if m != lead}, p.arity)
+    rules[i] = RewriteRule(lead, rest)
+    with pytest.raises(ReductionError, match=f"^rule {i} is not oriented by the order$"):
+        Reducer(rules, order)
 
 
 @given(seed=st.integers(0, 10**9))

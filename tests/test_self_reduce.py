@@ -15,7 +15,7 @@ from operad_gsb.rewriting import RewriteRule, normal_form
 from conftest import random_rules
 
 
-def restart_self_reduce(rules, ord, step_limit=10**6):
+def restart_self_reduce(rules, ord):
     """Reference oracle: normal-form each rule modulo the others in turn;
     on the first change, start again from the top."""
     out = list(rules)
@@ -26,7 +26,7 @@ def restart_self_reduce(rules, ord, step_limit=10**6):
             others = out[:i] + out[i + 1 :]
             if not others:
                 continue
-            nf = normal_form(out[i].polynomial, others, ord, step_limit)
+            nf = normal_form(out[i].polynomial, others, ord)
             if nf == out[i].polynomial:
                 continue
             if nf.is_zero:
@@ -63,9 +63,9 @@ def captured_final_input(quad):
     calls = []
     real = completion.self_reduce
 
-    def capture(rules, ord, step_limit=10**6):
+    def capture(rules, ord):
         calls.append(tuple(rules))
-        return real(rules, ord, step_limit)
+        return real(rules, ord)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(completion, "self_reduce", capture)
