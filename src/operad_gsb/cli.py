@@ -46,9 +46,35 @@ class UsageError(Exception):
     pass
 
 
+# the completion caps: ``CompletionConfig`` field -> flag
+_CAPS = {"max_iterations": "--max-iterations", "max_arity": "--max-arity"}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         raise UsageError(message)
+
+    def parse_args(self, args=None, namespace=None):
+        argv = sys.argv[1:] if args is None else list(args)
+        parsed, extras = self.parse_known_args(argv, namespace)
+        if extras:
+            named = self._unrecognized(argv, extras)
+            self.error(f"unrecognized arguments: {' '.join(named)}")
+        return parsed
+
+    def _unrecognized(self, argv: list[str], extras: list[str]) -> list[str]:
+        # argparse gives the argument after an unknown option to the
+        # positionals.  If the command line still parses once the option
+        # and that argument are left out, the argument was the option's
+        # value: name the two together, as when the option comes last.
+        for i, arg in enumerate(argv[:-1]):
+            if arg in extras and arg.startswith("-") and not argv[i + 1].startswith("-"):
+                try:
+                    _, rest = self.parse_known_args(argv[:i] + argv[i + 2 :])
+                except UsageError:
+                    continue
+                return [arg, argv[i + 1], *rest]
+        return extras
 
 
 def _build_parser() -> _Parser:
@@ -61,8 +87,9 @@ def _build_parser() -> _Parser:
         src.add_argument("--relations", type=Path, metavar="PATH")
         if need_order:
             p.add_argument("--order", help='e.g. "prec<succ" or "c<b<d<a"')
-        p.add_argument("--max-iterations", type=int, default=CompletionConfig.max_iterations)
-        p.add_argument("--max-arity", type=int, default=CompletionConfig.max_arity)
+        # None until given, so that ``reduce --relations`` can refuse them
+        for flag in _CAPS.values():
+            p.add_argument(flag, type=int, default=None)
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--out", type=Path, default=None)
 
@@ -119,7 +146,10 @@ def _resolve_order(args, pres: Presentation) -> OperationOrder:
 
 
 def _config(args) -> CompletionConfig:
-    return CompletionConfig(max_iterations=args.max_iterations, max_arity=args.max_arity)
+    """The caps given on the command line, the defaults for the others."""
+    return CompletionConfig(
+        **{cap: getattr(args, cap) for cap in _CAPS if getattr(args, cap) is not None}
+    )
 
 
 @contextlib.contextmanager
@@ -191,16 +221,20 @@ def _cmd_complete(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    if args.relations is not None:
+        # a relation file is taken as the rewriting system itself,
+        # oriented but not completed, so no completion cap applies
+        for cap, flag in _CAPS.items():
+            if getattr(args, cap) is not None:
+                raise UsageError(f"{flag} does not apply to reduce --relations, "
+                                 "which reduces without completion")
     pres = _load_presentation(args)
     ord = _resolve_order(args, pres)
     poly = parse_polynomial(args.polynomial, pres.signature)
-    cfg = _config(args)
     if args.relations is not None:
-        # a relation file is taken as the rewriting system itself,
-        # oriented but not completed
         rules = tuple(RewriteRule.from_polynomial(r, ord) for r in pres.relations)
     else:
-        basis, report = complete(pres.relations, ord, cfg)
+        basis, report = complete(pres.relations, ord, _config(args))
         if report.status != STATUS_CONFIRMED:
             sys.stderr.write(
                 f"warning: basis not confirmed ({report.status}); "

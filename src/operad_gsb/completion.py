@@ -269,7 +269,7 @@ def self_reduce(
             nf = TreePolynomial.monomial(rule.lead) + reducer.reduce(rule.tail)
         else:
             # the first step on the monic lead: minus the other rule's tail
-            _, idx, occ = redex
+            idx, occ = redex
             terms = dict(rule.tail.terms)
             add_embedding(terms, -1, out[idx].tail, rule.lead, occ)
             nf = reducer.reduce(TreePolynomial(terms, rule.arity))

@@ -11,22 +11,23 @@ does not orient and counts no steps.  The step and the S-polynomials of
 ``completion`` share one operation, ``add_embedding``: add a multiple of
 a polynomial, embedded at an occurrence, to a term map.
 
-Reduction is one loop of that step; its three schedules differ only in
-how they pick the next monomial.  The default pops a worklist, tracing
-takes the greatest reducible monomial, and a randomized run draws one.
-The redex used on a monomial is pinned (first occurrence vertex in
-preorder, then first rule in list order), so the normal form of a
-polynomial is the coefficient-weighted sum of its monomials' normal
-forms and does not depend on the pick; completion counts and traces
-reproduce bit-for-bit across runs.  A ``Reducer`` owns every table it
-matches with: its rules grouped by the shape of their leads' roots and
-its per-subtree first-redex cache.  ``Reducer.lead_redex`` gives a
-rule's lead its first redex by the other rules, which is all that
-``completion.self_reduce`` needs beyond the reducer over the whole list.
+Reduction is one deterministic loop of that step over a queue, a
+worklist by default and ascending in the order when traced; a randomized
+run draws instead.  A redex is a ``(rule index, Occurrence)`` pair and
+is pinned (first occurrence vertex in preorder, then first rule in list
+order), so the normal form of a polynomial is the coefficient-weighted
+sum of its monomials' normal forms and does not depend on the pick;
+completion counts and traces reproduce bit-for-bit across runs.  A
+``Reducer`` owns every table it matches with: its rules grouped by the
+shape of their leads' roots and its per-subtree first-redex cache.
+``Reducer.lead_redex`` gives a rule's lead its first redex by the other
+rules, which is all that ``completion.self_reduce`` needs beyond the
+reducer over the whole list.
 """
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -98,8 +99,8 @@ def _match(ambient: TreeMonomial, pattern: TreeMonomial) -> list[TreeMonomial] |
 
 def occurrences(
     ambient: TreeMonomial, patterns: Sequence[TreeMonomial]
-) -> Iterator[tuple[tuple[int, ...], int, Occurrence]]:
-    """Yield ``(vertex, pattern index, occurrence)`` for every embedding.
+) -> Iterator[tuple[int, Occurrence]]:
+    """Yield ``(pattern index, occurrence)`` for every embedding.
 
     One preorder walk that matches each vertex against the patterns with
     its root label: vertices come in preorder and, at each vertex,
@@ -116,7 +117,7 @@ def occurrences(
         for idx, pattern in by_root.get(sub.label, ()):
             bindings = _match(sub, pattern)
             if bindings is not None:
-                yield vertex, idx, Occurrence(vertex, tuple(bindings))
+                yield idx, Occurrence(vertex, tuple(bindings))
 
 
 def is_normal_monomial(t: TreeMonomial, leads: Sequence[TreeMonomial]) -> bool:
@@ -220,7 +221,7 @@ class Reducer:
                 lead_key = ord.monomial_key(rule.lead)
                 if any(ord.monomial_key(m) >= lead_key for m in rule.tail.terms):
                     raise ReductionError(f"rule {idx} is not oriented by the order")
-        self._first_redex: dict[TreeMonomial, tuple | None] = {}
+        self._first_redex: dict[TreeMonomial, tuple[int, Occurrence] | None] = {}
         # root label -> (rule index, lead), in list order
         self._by_root: dict[OperationSymbol, list[tuple[int, TreeMonomial]]] = {}
         for idx, rule in enumerate(self.rules):
@@ -228,19 +229,19 @@ class Reducer:
         # (root label, child labels...) -> its candidates, () when none fit
         self._by_shape: dict[tuple, tuple[tuple[int, TreeMonomial], ...]] = {}
 
-    def first_redex(self, m: TreeMonomial) -> tuple | None:
-        """Smallest (vertex, rule index, occurrence) triple in ``m``, if any."""
+    def first_redex(self, m: TreeMonomial) -> tuple[int, Occurrence] | None:
+        """The pinned ``(rule index, occurrence)`` redex of ``m``, if any."""
         if m.label is None:
             return None
         return self._redex(m)
 
-    def lead_redex(self, i: int) -> tuple | None:
+    def lead_redex(self, i: int) -> tuple[int, Occurrence] | None:
         """The first redex of rule ``i``'s own lead by the other rules: rule
         ``i`` is not tried at the root, and the children answer from the
         cache as usual.  Rule indices are those of the whole list."""
         return self._redex(self.rules[i].lead, i)
 
-    def _redex(self, m: TreeMonomial, skip: int = -1) -> tuple | None:
+    def _redex(self, m: TreeMonomial, skip: int = -1) -> tuple[int, Occurrence] | None:
         # the preorder search, one frame per level: the root's first
         # matching candidate, else the first child's first redex, one
         # level down.  With a rule to ``skip`` the answer is not ``m``'s
@@ -264,15 +265,15 @@ class Reducer:
             if idx != skip:
                 bindings = _match(m, lead)
                 if bindings is not None:
-                    redex = ((), idx, Occurrence((), tuple(bindings)))
+                    redex = (idx, Occurrence((), tuple(bindings)))
                     break
         else:
             for i, child in enumerate(m.children):
                 if child.label is not None:
                     below = self._redex(child)
                     if below is not None:
-                        vertex = (i,) + below[0]
-                        redex = (vertex, below[1], Occurrence(vertex, below[2].bindings))
+                        idx, occ = below
+                        redex = (idx, Occurrence((i,) + occ.vertex, occ.bindings))
                         break
         if skip < 0:
             memo[m] = redex
@@ -284,50 +285,49 @@ class Reducer:
         rng: random.Random | None = None,
         trace: list | None = None,
     ) -> TreePolynomial:
-        """Fully reduce ``p``: one loop of one step, three ways to pick.
+        """Fully reduce ``p``; with ``trace``, append each step's
+        ``(rule index, vertex)``.
 
-        A step takes a reducible monomial ``m`` with coefficient ``c`` and
-        a redex of it, deletes ``m`` and adds ``-c`` times the rule's tail
-        embedded at the redex.  By default the next monomial is popped
-        from a worklist of the monomials a step created, with its pinned
-        redex; since that redex depends only on the monomial, the normal
-        form does not depend on the pop order.  Tracing picks the greatest
-        reducible monomial, the documented strategy that the emitted
-        ``(rule index, vertex)`` steps follow.  With ``rng``, the monomial
-        (among the reducible ones sorted by text) and then its redex
-        (among all of them, in preorder) are drawn at random.
+        A step deletes a reducible monomial ``m`` with coefficient ``c``
+        and adds ``-c`` times the tail of its redex's rule, embedded at
+        the redex.  The deterministic loop pops the last monomial of a
+        queue and skips it if it has left the terms or has no redex.  By
+        default the queue is a worklist of the terms and of each step's
+        images; the redex is pinned, so the pop order cannot change the
+        result.  Tracing keeps the queue ascending in the order, so each
+        step rewrites the greatest reducible monomial: a step's images are
+        below the monomial it rewrote, and a normal monomial stays normal.
+        With ``rng``, each step draws the monomial (among the reducible
+        ones sorted by text) and then its redex (among all, in preorder).
         """
         terms = dict(p.terms)
-        worklist = list(terms) if rng is None and trace is None else None
-        key = self.ord.monomial_key
-        while True:
-            m = redex = None
-            if worklist is not None:
-                while worklist and redex is None:
-                    m = worklist.pop()
-                    if m in terms:
-                        redex = self.first_redex(m)
-            elif rng is None:
-                for m in sorted(terms, key=key, reverse=True):
-                    redex = self.first_redex(m)
-                    if redex is not None:
-                        break
-            else:
-                reducible = [
-                    m for m in sorted(terms, key=format_tree) if self.first_redex(m)
-                ]
-                if reducible:
-                    m = rng.choice(reducible)
-                    leads = [r.lead for r in self.rules]
-                    redex = rng.choice(list(occurrences(m, leads)))
+        if rng is not None:
+            leads = [r.lead for r in self.rules]
+            while reducible := [
+                m for m in sorted(terms, key=format_tree) if self.first_redex(m)
+            ]:
+                m = rng.choice(reducible)
+                idx, occ = rng.choice(list(occurrences(m, leads)))
+                if trace is not None:
+                    trace.append((idx, occ.vertex))
+                add_embedding(terms, -terms.pop(m), self.rules[idx].tail, m, occ)
+            return TreePolynomial(terms, p.arity)
+        key = None if trace is None else self.ord.monomial_key
+        queue = list(terms) if key is None else sorted(terms, key=key)
+        while queue:
+            m = queue.pop()
+            redex = self.first_redex(m) if m in terms else None
             if redex is None:
-                return TreePolynomial(terms, p.arity)
-            vertex, idx, occ = redex
-            if trace is not None:
-                trace.append((idx, vertex))
+                continue
+            idx, occ = redex
             created = add_embedding(terms, -terms.pop(m), self.rules[idx].tail, m, occ)
-            if worklist is not None:
-                worklist.extend(created)
+            if trace is None:
+                queue.extend(created)
+            else:
+                trace.append((idx, occ.vertex))
+                for image in created:
+                    bisect.insort(queue, image, key=key)
+        return TreePolynomial(terms, p.arity)
 
 
 def normal_form(

@@ -49,6 +49,17 @@ def random_rules(seed, quad):
     return [og.RewriteRule.from_polynomial(p, order) for p in polys], order
 
 
+def relabel(p: og.TreePolynomial, mapping) -> og.TreePolynomial:
+    """``p`` with each operation renamed by ``mapping``, name -> symbol."""
+
+    def tree(t):
+        if t.is_leaf:
+            return t
+        return og.TreeMonomial(mapping[t.label.name], [tree(c) for c in t.children])
+
+    return og.TreePolynomial({tree(m): c for m, c in p.terms.items()}, p.arity)
+
+
 def load_bench_module(name: str):
     """Load ``bench/<name>.py`` by path; ``bench`` is not a package."""
     path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"

@@ -6,6 +6,9 @@ iteration-2 values for the rows ``b<d<c<a`` and ``d<c<a<b`` contradict
 the b/d relabeling symmetry of the quadri relations (their conjugate
 rows, which we match exactly, carry different values), so no
 symmetry-respecting implementation can reproduce all four at once.
+Under the paper's iteration semantics, which add elements without
+interreducing between iterations, ``b<a<d<c`` and ``d<a<b<c`` stop at the
+iteration cap, yet their final bases are a finite GSB (criterion 4h).
 """
 
 import hashlib
@@ -19,7 +22,7 @@ import pytest
 import operad_gsb as og
 from operad_gsb.rewriting import Reducer, RewriteRule
 
-from conftest import load_bench_module, random_polynomial, random_tree
+from conftest import load_bench_module, random_polynomial, random_tree, relabel
 
 LEAF = og.LEAF
 
@@ -205,15 +208,49 @@ def test_criterion_4_disputed_rows_match_conjugates(sweep):
                "which carry the reference values")
 
 
-def test_criterion_4_sweep_is_bd_symmetric(sweep):
+def test_criterion_4_sweep_is_bd_symmetric(quad, sweep):
+    # relabeling b<->d maps each row onto its conjugate: the counts and
+    # the status, and as sets (list order differs) each iteration's added
+    # elements and the final basis
     swap = str.maketrans("bd", "db")
+    mapping = {name: quad.signature[name.translate(swap)] for name in "abcd"}
     for text, report in sweep.items():
         conj = sweep[text.translate(swap)]
         assert [(r.compositions, r.nonzero) for r in report.iterations] == [
             (r.compositions, r.nonzero) for r in conj.iterations
         ]
         assert report.status == conj.status
-    _pass("4d", "all 24 rows pair up under b/d relabeling with equal counts")
+        for rec, conj_rec in zip(report.iterations, conj.iterations):
+            assert {relabel(p, mapping) for p in rec.added} == set(conj_rec.added), text
+        assert len(report.basis) == len(conj.basis), text
+        assert {relabel(p, mapping) for p in report.basis} == set(conj.basis), text
+    _pass("4d", "all 24 rows pair up under b/d relabeling: equal counts and "
+               "status, relabeled added elements and final bases")
+
+
+# the capped rows whose final bases are nevertheless a GSB
+FINITE_PAIR = ("b<a<d<c", "d<a<b<c")
+
+
+def test_criterion_4_finite_pair_is_a_gsb(quad, sweep):
+    # no reference needed: the composition check confirms the final
+    # basis, and its normal monomials meet the closed formula
+    start = time.perf_counter()
+    for text in FINITE_PAIR:
+        report = sweep[text]
+        assert report.status == "iteration_cap", text
+        order = og.OperationOrder.from_string(text, quad.signature)
+        rules = tuple(RewriteRule.from_polynomial(p, order) for p in report.basis)
+        basis = og.GSBasis(rules, order)
+        assert len(rules) == 17 and {r.arity for r in rules} == {3, 4}, text
+        check = og.is_gsb(basis)
+        assert (check.status, len(check.certificate)) == ("confirmed", 81), text
+        dims = [og.count_normal(basis, n) for n in range(1, 13)]
+        assert dims == [og.quadri_dim(n) for n in range(1, 13)], text
+    elapsed = time.perf_counter() - start
+    _pass("4h", f"{' and '.join(FINITE_PAIR)} stop at the iteration cap with a "
+               "17-element basis of arity 3 and 4, confirmed by all 81 "
+               f"compositions and meeting quadri_dim through arity 12, {elapsed:.1f}s")
 
 
 def _recorded_digests() -> dict:

@@ -415,31 +415,45 @@ def test_count_beyond_the_listing_guard(capsys):
 
 
 def test_reduce_checks_caps_on_both_sources(capsys):
-    # a relation file is reduced against without completion, yet its caps
-    # are checked and reported as the preset's are
-    sources = [
-        ("--preset", "dendriform"),
-        ("--relations", str(DOCS / "dendriform.rel")),
-    ]
-    caps = [
-        ("--max-iterations", "0"),
-        ("--max-arity", "0"),
-    ]
-    for source in sources:
-        for cap in caps:
+    # a preset's caps are checked before its completion; a relation file
+    # is reduced against without completion, so a cap given with it is
+    # refused, whatever its value
+    preset = ("--preset", "dendriform")
+    relations = ("--relations", str(DOCS / "dendriform.rel"))
+    for flag in ("--max-iterations", "--max-arity"):
+        code, out, err = run(
+            capsys, "reduce", *preset, "--order", "prec<succ", flag, "0",
+            "(prec (prec * *) *)",
+        )
+        assert (code, out) == (1, ""), flag
+        assert err == "error: completion caps must be positive\n", flag
+        for value in ("0", "7"):
             code, out, err = run(
-                capsys, "reduce", *source, "--order", "prec<succ", *cap,
+                capsys, "reduce", *relations, "--order", "prec<succ", flag, value,
                 "(prec (prec * *) *)",
             )
-            assert (code, out) == (1, ""), (source, cap)
-            assert err == "error: completion caps must be positive\n", (source, cap)
-        # reduction has no step cap to set
+            assert (code, out) == (1, ""), (flag, value)
+            assert err == (
+                f"error: {flag} does not apply to reduce --relations, "
+                "which reduces without completion\n"
+            ), (flag, value)
+    for source in (preset, relations):
+        # reduction has no step cap to set; the unknown option is named
+        # with its value before the polynomial as after it
+        for argv in (
+            ("(prec (prec * *) *)", "--step-limit", "1"),
+            ("--step-limit", "1", "(prec (prec * *) *)"),
+        ):
+            code, out, err = run(capsys, "reduce", *source, "--order", "prec<succ", *argv)
+            assert (code, out) == (1, ""), (source, argv)
+            assert err == "error: unrecognized arguments: --step-limit 1\n", (source, argv)
+        # a stray second polynomial is named alone
         code, out, err = run(
             capsys, "reduce", *source, "--order", "prec<succ",
-            "(prec (prec * *) *)", "--step-limit", "1",
+            "(prec (prec * *) *)", "(succ * *)",
         )
         assert (code, out) == (1, ""), source
-        assert err == "error: unrecognized arguments: --step-limit 1\n", source
+        assert err == "error: unrecognized arguments: (succ * *)\n", source
 
 
 def test_unwritable_out_is_an_error(capsys, tmp_path, monkeypatch):

@@ -14,6 +14,8 @@ from operad_gsb.completion import (
 )
 from operad_gsb.rewriting import Reducer, RewriteRule
 
+from conftest import relabel
+
 LEAF = og.LEAF
 
 
@@ -260,21 +262,6 @@ def test_iteration_one_count_matches_chain_formula(quad):
             assert lead.children[1] == LEAF and lead.children[0] != LEAF
 
 
-def _relabel_tree(t, mapping):
-    if t.is_leaf:
-        return t
-    sym = mapping[t.label.name]
-    return og.TreeMonomial(sym, [
-        _relabel_tree(child, mapping) for child in t.children
-    ])
-
-
-def _relabel_poly(p, mapping):
-    return og.TreePolynomial(
-        {_relabel_tree(m, mapping): c for m, c in p.terms.items()}, p.arity
-    )
-
-
 @pytest.mark.parametrize("order_text", ["b<a<c<d", "a<b<d<c", "c<b<d<a"])
 def test_bd_relabel_symmetry(quad, order_text):
     swap = {"a": "a", "b": "d", "c": "c", "d": "b"}
@@ -289,7 +276,7 @@ def test_bd_relabel_symmetry(quad, order_text):
     ]
     assert rep1.status == rep2.status
     # the relabeled bases coincide as sets
-    basis1 = {_relabel_poly(p, mapping) for p in rep1.basis}
+    basis1 = {relabel(p, mapping) for p in rep1.basis}
     assert basis1 == set(rep2.basis)
 
 

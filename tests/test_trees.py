@@ -207,7 +207,7 @@ def test_parse_depth_limit():
     assert og.graft(deepest, [LEAF] * deepest.arity) == deepest
     bottom = (0,) * (MAX_TREE_DEPTH - 1)
     assert replace_at(deepest, bottom, og.subtree_at(deepest, bottom)) == deepest
-    assert [v for v, _, _ in og.occurrences(deepest, [deepest])] == [()]
+    assert [occ.vertex for _, occ in og.occurrences(deepest, [deepest])] == [()]
     too_deep = comb(MAX_TREE_DEPTH + 1)
     with pytest.raises(TreeParseError, match="deeper than") as info:
         og.parse_tree(too_deep, SIG4)
