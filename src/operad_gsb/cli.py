@@ -58,22 +58,25 @@ class _Parser(argparse.ArgumentParser):
         argv = sys.argv[1:] if args is None else list(args)
         parsed, extras = self.parse_known_args(argv, namespace)
         if extras:
-            named = self._unrecognized(argv, extras)
+            named = self._unrecognized(argv, parsed, extras)
             self.error(f"unrecognized arguments: {' '.join(named)}")
         return parsed
 
-    def _unrecognized(self, argv: list[str], extras: list[str]) -> list[str]:
-        # argparse gives the argument after an unknown option to the
-        # positionals.  If the command line still parses once the option
-        # and that argument are left out, the argument was the option's
-        # value: name the two together, as when the option comes last.
+    def _unrecognized(self, argv: list[str], parsed, extras: list[str]) -> list[str]:
+        # argparse gives the argument after an unknown option to the one
+        # positional, reduce's polynomial.  Every polynomial holds a leaf
+        # "*"; an argument without one was the option's value, so name the
+        # two together, as when the option comes last.  Otherwise the
+        # option may be a flag and the extras are named as they are.
+        polynomial = getattr(parsed, "polynomial", None)
         for i, arg in enumerate(argv[:-1]):
-            if arg in extras and arg.startswith("-") and not argv[i + 1].startswith("-"):
+            value = argv[i + 1]
+            if arg in extras and arg.startswith("-") and value == polynomial and "*" not in value:
                 try:
                     _, rest = self.parse_known_args(argv[:i] + argv[i + 2 :])
                 except UsageError:
-                    continue
-                return [arg, argv[i + 1], *rest]
+                    break
+                return [arg, value, *rest]
         return extras
 
 

@@ -454,6 +454,14 @@ def test_reduce_checks_caps_on_both_sources(capsys):
         )
         assert (code, out) == (1, ""), source
         assert err == "error: unrecognized arguments: (succ * *)\n", source
+        # after an unknown option that may be a flag, the stray polynomial
+        # is still the one named
+        code, out, err = run(
+            capsys, "reduce", *source, "--order", "prec<succ",
+            "--verbose", "(prec * *)", "(succ * *)",
+        )
+        assert (code, out) == (1, ""), source
+        assert err == "error: unrecognized arguments: --verbose (succ * *)\n", source
 
 
 def test_unwritable_out_is_an_error(capsys, tmp_path, monkeypatch):
