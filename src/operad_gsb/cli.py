@@ -141,7 +141,7 @@ def _load_presentation(args) -> Presentation:
 
 
 def _resolve_order(args, pres: Presentation) -> OperationOrder:
-    if getattr(args, "order", None):
+    if getattr(args, "order", None) is not None:
         return OperationOrder.from_string(args.order, pres.signature)
     if pres.preferred_order is not None:
         return pres.preferred_order
@@ -291,6 +291,8 @@ def _oracle_column(pres: Presentation, n: int) -> dict[int, int]:
 def _cmd_count(args) -> int:
     if args.n_max < 1:
         raise UsageError(f"--n-max must be at least 1, got {args.n_max}")
+    if args.oracle_max < 0:
+        raise UsageError(f"--oracle-max must be at least 0, got {args.oracle_max}")
     pres = _load_presentation(args)
     ord = _resolve_order(args, pres)
     basis, report = complete(pres.relations, ord, _config(args))

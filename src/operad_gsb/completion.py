@@ -11,10 +11,11 @@ once after the loop terminates.
 
 Self-reduction is the plain loop "normal-form each rule modulo the
 others; on the first change, start again from the top", run on one
-reducer over the whole list per pass.  A lead occurs in a monomial of
-its own arity only as that whole monomial, so a rule's monomials reduce
-modulo the others as modulo all rules, save the first step on its lead,
-which skips the rule itself at the root.
+reducer over the whole list per call, edited in place after each
+rewrite.  A lead occurs in a monomial of its own arity only as that
+whole monomial, so a rule's monomials reduce modulo the others as modulo
+all rules, save the first step on its lead, which skips the rule itself
+at the root.
 
 Enumeration is over ordered pairs: ``small_common_multiples(f, g)`` lists
 the multiples where ``f`` embeds at or inside the root occurrence of
@@ -243,11 +244,18 @@ def self_reduce(
     redex, so the check is a redex lookup; it fills the reducer's cache
     that the reduction then reads.
 
-    One reducer over the whole list serves each pass, so a pass builds
-    one reducer and a call builds one per rewrite, plus one.  This is
-    exact because every operation has arity at least 2: a proper
-    occurrence of a pattern adds a leaf, so a lead occurs in a monomial
-    of its own arity only as that whole monomial.  Rule ``i``'s tail, and
+    One reducer over the whole list serves the whole call: after each
+    rewrite ``Reducer.update`` edits its rule in place and keeps every
+    cached redex that is still first.  Deleting a rule creates no redex,
+    so the rules before it stay clean and the scan resumes at its place;
+    a restart from the top would find the same rule.  A replaced rule has
+    a new lead that an earlier rule may contain, so the scan starts again
+    from the top, on the cache that is still warm.
+
+    Reading the lead on the reducer over the whole list is exact because
+    every operation has arity at least 2: a proper occurrence of a
+    pattern adds a leaf, so a lead occurs in a monomial of its own arity
+    only as that whole monomial.  Rule ``i``'s tail, and
     every monomial met after the first step on its lead, has that arity
     and is smaller than the lead, so it reduces alike with or without
     rule ``i``.  Only the first redex of the lead itself must skip rule
@@ -255,15 +263,14 @@ def self_reduce(
     stays as it is.  That first step is taken here, outside
     ``Reducer.reduce``; like every other step it descends in the order.
     """
-    out = list(rules)
-    while True:
-        reducer = Reducer(out, ord)
-        for i, rule in enumerate(out):
-            redex = reducer.lead_redex(i)
-            if redex is not None or any(reducer.first_redex(m) for m in rule.tail.terms):
-                break
-        else:
-            return tuple(out)
+    reducer = Reducer(rules, ord)
+    i = 0
+    while i < len(reducer.rules):
+        rule = reducer.rules[i]
+        redex = reducer.lead_redex(i)
+        if redex is None and not any(reducer.first_redex(m) for m in rule.tail.terms):
+            i += 1
+            continue
         if redex is None:
             # the lead is normal modulo the others, and no step recreates it
             nf = TreePolynomial.monomial(rule.lead) + reducer.reduce(rule.tail)
@@ -271,12 +278,16 @@ def self_reduce(
             # the first step on the monic lead: minus the other rule's tail
             idx, occ = redex
             terms = dict(rule.tail.terms)
-            add_embedding(terms, -1, out[idx].tail, rule.lead, occ)
+            add_embedding(terms, -1, reducer.rules[idx].tail, rule.lead, occ)
             nf = reducer.reduce(TreePolynomial(terms, rule.arity))
         if nf.is_zero:
-            del out[i]
+            # the rules before ``i`` stay clean against fewer leads
+            reducer.update(i, None)
         else:
-            out[i] = RewriteRule.from_polynomial(nf, ord)
+            # an earlier rule may contain the new lead
+            reducer.update(i, RewriteRule.from_polynomial(nf, ord))
+            i = 0
+    return reducer.rules
 
 
 def _validate_input(relations: Sequence[TreePolynomial], ord: OperationOrder) -> None:

@@ -21,8 +21,9 @@ completion counts and traces reproduce bit-for-bit across runs.  A
 ``Reducer`` owns every table it matches with: its rules grouped by the
 shape of their leads' roots and its per-subtree first-redex cache.
 ``Reducer.lead_redex`` gives a rule's lead its first redex by the other
-rules, which is all that ``completion.self_reduce`` needs beyond the
-reducer over the whole list.
+rules, and ``Reducer.update`` replaces or deletes one rule in place,
+keeping every cached redex that is still first; that is all that
+``completion.self_reduce`` needs beyond the reducer over the whole list.
 """
 
 from __future__ import annotations
@@ -197,7 +198,8 @@ class Reducer:
     one miss per new vertex (the rewritten vertex's ancestors and the
     grafted tail), not a walk over the whole tree.  Completion reuses one
     reducer per iteration snapshot, so the cache is shared across all the
-    S-polynomials of an iteration.
+    S-polynomials of an iteration, and the final inter-reduction edits one
+    reducer in place with ``update``, so its cache lives for the call.
 
     A subtree is matched at its root only against the candidates of its
     shape: its root label and the label of each child, ``None`` for a
@@ -217,17 +219,55 @@ class Reducer:
         self.rules = tuple(rules)
         self.ord = ord
         for idx, rule in enumerate(self.rules):
-            if rule.tail.terms:
-                lead_key = ord.monomial_key(rule.lead)
-                if any(ord.monomial_key(m) >= lead_key for m in rule.tail.terms):
-                    raise ReductionError(f"rule {idx} is not oriented by the order")
+            self._check_oriented(idx, rule)
         self._first_redex: dict[TreeMonomial, tuple[int, Occurrence] | None] = {}
+        self._index()
+
+    def _check_oriented(self, idx: int, rule: RewriteRule) -> None:
+        if rule.tail.terms:
+            lead_key = self.ord.monomial_key(rule.lead)
+            if any(self.ord.monomial_key(m) >= lead_key for m in rule.tail.terms):
+                raise ReductionError(f"rule {idx} is not oriented by the order")
+
+    def _index(self) -> None:
         # root label -> (rule index, lead), in list order
         self._by_root: dict[OperationSymbol, list[tuple[int, TreeMonomial]]] = {}
         for idx, rule in enumerate(self.rules):
             self._by_root.setdefault(rule.lead.label, []).append((idx, rule.lead))
         # (root label, child labels...) -> its candidates, () when none fit
         self._by_shape: dict[tuple, tuple[tuple[int, TreeMonomial], ...]] = {}
+
+    def update(self, i: int, rule: RewriteRule | None) -> None:
+        """Make rule ``i`` into ``rule``, or delete it when ``rule`` is None.
+
+        A new rule is refused, as in the constructor, unless the order
+        orients it.  A deletion moves every later rule down one place.  The
+        cache keeps each entry that is still the pinned redex.  Removing a
+        rule creates no match, so only the entries that use rule ``i`` go
+        (the others are renumbered).  A new lead can only occur in a
+        subtree of at least its arity, so a replacement also drops those
+        entries.
+        """
+        rules = list(self.rules)
+        memo = self._first_redex
+        if rule is None:
+            del rules[i]
+            self._first_redex = {
+                m: redex if redex is None or redex[0] < i else (redex[0] - 1, redex[1])
+                for m, redex in memo.items()
+                if redex is None or redex[0] != i
+            }
+        else:
+            self._check_oriented(i, rule)
+            rules[i] = rule
+            arity = rule.lead.arity
+            self._first_redex = {
+                m: redex
+                for m, redex in memo.items()
+                if m.arity < arity and (redex is None or redex[0] != i)
+            }
+        self.rules = tuple(rules)
+        self._index()
 
     def first_redex(self, m: TreeMonomial) -> tuple[int, Occurrence] | None:
         """The pinned ``(rule index, occurrence)`` redex of ``m``, if any."""

@@ -253,6 +253,37 @@ def test_criterion_4_finite_pair_is_a_gsb(quad, sweep):
                f"compositions and meeting quadri_dim through arity 12, {elapsed:.1f}s")
 
 
+# capped row -> (last arity where count_normal meets quadri_dim, excess
+# of the count over the formula one arity later), at the default caps
+EXACTNESS_FRONTIER = {
+    "a<b<c<d": (5, 1),
+    "a<c<b<d": (5, 1),
+    "a<c<d<b": (5, 1),
+    "a<d<c<b": (5, 1),
+    "c<a<b<d": (5, 1),
+    "c<a<d<b": (5, 1),
+    "a<b<d<c": (6, 3),
+    "a<d<b<c": (6, 3),
+}
+
+
+def test_criterion_4_exactness_frontier_of_capped_rows(quad, sweep):
+    # no reference needed: a capped basis counts the normal monomials of
+    # the quotient exactly up to its frontier, and too many just past it
+    capped = {text for text, report in sweep.items() if report.status == "iteration_cap"}
+    assert capped == set(EXACTNESS_FRONTIER) | set(FINITE_PAIR)
+    for text, (frontier, excess) in EXACTNESS_FRONTIER.items():
+        order = og.OperationOrder.from_string(text, quad.signature)
+        rules = tuple(RewriteRule.from_polynomial(p, order) for p in sweep[text].basis)
+        basis = og.GSBasis(rules, order)
+        dims = [og.count_normal(basis, n) for n in range(1, frontier + 1)]
+        assert dims == [og.quadri_dim(n) for n in range(1, frontier + 1)], text
+        over = og.count_normal(basis, frontier + 1) - og.quadri_dim(frontier + 1)
+        assert over == excess, (text, over)
+    _pass("4i", "the 8 diverging capped rows meet quadri_dim through arity 5 "
+               "(6 for the a<b<d<c pair) and exceed it by 1 (3) one arity later")
+
+
 def _recorded_digests() -> dict:
     """``DIGESTS`` of ``bench/reference.py``, the outputs of the seed commit."""
     return load_bench_module("reference").DIGESTS

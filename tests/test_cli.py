@@ -320,6 +320,14 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 1 and "mul" in err
     code, _, err = run(capsys, "complete", "--preset", "dendriform")
     assert code == 1 and "order" in err
+    # an empty --order is refused like a blank one, not replaced by the
+    # order the relation file declares
+    for bad in ("", " "):
+        code, out, err = run(
+            capsys, "complete", "--relations", str(DOCS / "dendriform.rel"), "--order", bad
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: malformed order string {bad!r}\n"
     code, _, err = run(capsys, "complete", "--relations", str(tmp_path / "missing.rel"))
     assert code == 1
     bad = tmp_path / "bad.rel"
@@ -515,3 +523,17 @@ def test_count_n_max_must_be_positive(capsys):
         )
         assert code == 1 and out == ""
         assert err == f"error: --n-max must be at least 1, got {bad}\n"
+    for bad in ("-1", "-3"):
+        code, out, err = run(
+            capsys, "count", "--preset", "quadri", "--order", "c<b<d<a",
+            "--oracle-max", bad,
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: --oracle-max must be at least 0, got {bad}\n"
+    # 0 means no oracle column
+    code, out, err = run(
+        capsys, "count", "--preset", "quadri", "--order", "c<b<d<a",
+        "--n-max", "2", "--oracle-max", "0", "--format", "json",
+    )
+    assert code == 0 and err == ""
+    assert [row["oracle_value"] for row in json.loads(out)] == [None, None]

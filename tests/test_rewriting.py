@@ -361,9 +361,10 @@ def test_unoriented_rules_are_refused(dend, dend_up, drules):
 @settings(max_examples=80, deadline=None)
 def test_reducer_refuses_a_reoriented_rule(seed, quad):
     # rules oriented by the order are accepted; making one rule's greatest
-    # tail monomial its lead is refused, naming that rule
+    # tail monomial its lead is refused, naming that rule, by the
+    # constructor and by ``update``, which then leaves the rules as they were
     rules, order = random_rules(seed, quad)
-    Reducer(rules, order)
+    reducer = Reducer(rules, order)
     tailed = [i for i, rule in enumerate(rules) if rule.tail.terms]
     if not tailed:
         return
@@ -375,6 +376,10 @@ def test_reducer_refuses_a_reoriented_rule(seed, quad):
     rules[i] = RewriteRule(lead, rest)
     with pytest.raises(ReductionError, match=f"^rule {i} is not oriented by the order$"):
         Reducer(rules, order)
+    before = reducer.rules
+    with pytest.raises(ReductionError, match=f"^rule {i} is not oriented by the order$"):
+        reducer.update(i, rules[i])
+    assert reducer.rules == before
 
 
 def greatest_first(reducer, p):
