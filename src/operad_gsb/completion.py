@@ -21,6 +21,14 @@ Enumeration is over ordered pairs: ``small_common_multiples(f, g)`` lists
 the multiples where ``f`` embeds at or inside the root occurrence of
 ``g``, so each geometric overlap is produced exactly once across the two
 orientations of a pair.
+
+``complete`` and ``is_gsb`` run with the cyclic garbage collector paused:
+they build only hash-consed trees and values that point down to them, so
+the collector has nothing to free (see ``trees``).  The switch is
+process-wide, so other threads get no cyclic collection while either
+runs.  When either returns or raises, the collector is on again, after
+one collection of the two young generations, unless the caller had
+turned it off, in which case it stays off and nothing is collected.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from .rewriting import (
 from .trees import (
     TreeError,
     TreeMonomial,
+    _cyclic_gc_paused,
     format_tree,
     graft,
     replace_at,
@@ -341,6 +350,7 @@ def _check_compositions(
     return records, skipped_any
 
 
+@_cyclic_gc_paused(hand_back=True)
 def complete(
     relations: Sequence[TreePolynomial],
     ord: OperationOrder,
@@ -358,7 +368,8 @@ def complete(
     form is new for this iteration: the same consequence discovered
     through several overlaps is counted and appended once.  Survivors
     join the working basis as they are; the final basis is self-reduced
-    once after the loop ends.
+    once after the loop ends.  Runs with the cyclic garbage collector
+    paused (see the module docstring).
     """
     cfg = cfg or CompletionConfig()
     _validate_input(relations, ord)
@@ -407,11 +418,13 @@ class GsbCheck:
         return self.status == "confirmed"
 
 
+@_cyclic_gc_paused(hand_back=True)
 def is_gsb(basis: GSBasis, cfg: CompletionConfig | None = None) -> GsbCheck:
     """Check every composition of the basis; confirmed iff all reduce to 0.
 
     An arity cap that skipped candidate multiples downgrades a clean run
-    to ``indeterminate`` rather than confirming.
+    to ``indeterminate`` rather than confirming.  Runs with the cyclic
+    garbage collector paused (see the module docstring).
     """
     cfg = cfg or CompletionConfig()
     records, skipped_any = _check_compositions(basis.rules, basis.order, cfg)

@@ -24,6 +24,13 @@ shape of their leads' roots and its per-subtree first-redex cache.
 rules, and ``Reducer.update`` replaces or deletes one rule in place,
 keeping every cached redex that is still first; that is all that
 ``completion.self_reduce`` needs beyond the reducer over the whole list.
+
+``normal_form`` runs with the cyclic garbage collector paused, since a
+reduction builds only hash-consed trees and values that point down to
+them (see ``trees``).  The switch is process-wide, so other threads get
+no cyclic collection while it runs; a caller who turned the collector
+off keeps it off.  Reference counting frees the call's working set when
+it returns, so nothing is collected on the way out.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from .ordering import OperationOrder
 from .polynomials import TreePolynomial, add
 from .polynomials import scale  # noqa: F401 - bench/tracing.py wraps rewriting.scale
 from .trees import OperationSymbol, TreeError, TreeMonomial, format_tree, graft
-from .trees import replace_at, subtree_at, subtrees
+from .trees import _cyclic_gc_paused, replace_at, subtree_at, subtrees
 
 __all__ = [
     "Occurrence",
@@ -370,6 +377,7 @@ class Reducer:
         return TreePolynomial(terms, p.arity)
 
 
+@_cyclic_gc_paused(hand_back=False)
 def normal_form(
     p: TreePolynomial,
     rules: Sequence[RewriteRule],
@@ -377,5 +385,9 @@ def normal_form(
     *,
     trace: list | None = None,
 ) -> TreePolynomial:
-    """Reduce ``p`` until no monomial is divisible by any rule's lead."""
+    """Reduce ``p`` until no monomial is divisible by any rule's lead.
+
+    Runs with the cyclic garbage collector paused (see the module
+    docstring); ``Reducer.reduce`` itself does not pause it.
+    """
     return Reducer(rules, ord).reduce(p, trace=trace)

@@ -11,6 +11,18 @@ Operation symbols are interned the same way, so a label test is an
 identity test.  Tree and symbol hashes therefore differ from process to
 process; no output depends on them.
 
+A tree is built only from trees that already exist, and the intern
+tables hold their trees weakly, so no tree is ever part of a reference
+cycle.  The values the engine builds around trees (polynomials, rules,
+occurrences, reducers and their caches) only point down to trees, so
+reference counting alone frees all of them.  The engine's entry points
+(``completion.complete``, ``completion.is_gsb`` and
+``rewriting.normal_form``) therefore run with CPython's cyclic garbage
+collector paused, which would otherwise scan millions of short-lived
+trees and find nothing to free.  The collector switch is process-wide,
+so other threads get no cyclic collection while such a call runs; a
+caller who turned the collector off keeps it off.
+
 Vertex addresses are tuples of child indices from the root, so ``()`` is
 the root and ``(0, 1)`` is the second child of the first child.
 """
@@ -18,6 +30,7 @@ the root and ``(0, 1)`` is the second child of the first child.
 from __future__ import annotations
 
 import functools
+import gc
 import re
 import weakref
 from dataclasses import dataclass
@@ -177,6 +190,37 @@ class _HashConsed(type):
         children: Sequence[TreeMonomial] = (),
     ) -> TreeMonomial:
         return _intern(label, tuple(children))
+
+
+def _cyclic_gc_paused(hand_back: bool) -> Callable[[Callable], Callable]:
+    """Decorator: run the function with the cyclic garbage collector off.
+
+    Safe for code that builds only trees and other acyclic values (see
+    the module docstring).  The collector is turned back on in ``finally``.
+    If it is already off (a nested call, or a caller who turned it off),
+    the function runs as it is and no collection is made.  With
+    ``hand_back`` the two young generations are collected on the way
+    out, so the caller does not inherit the generation counts the pause
+    left behind, and with them a collection of the middle generation
+    that falls due in its next few allocations.
+    """
+
+    def decorate(fn: Callable) -> Callable:
+        @functools.wraps(fn)
+        def paused(*args, **kwargs):
+            if not gc.isenabled():
+                return fn(*args, **kwargs)
+            gc.disable()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                gc.enable()
+                if hand_back:
+                    gc.collect(1)
+
+        return paused
+
+    return decorate
 
 
 class TreeMonomial(metaclass=_HashConsed):
