@@ -7,7 +7,8 @@ labels on the way from the root to it.  Monomials are compared by arity
 first (more leaves wins), then by these words one by one, left to
 right.  Individual words compare degree-lexicographically: a longer word
 is greater, words of equal length compare rank by rank.  The leading
-term of a polynomial is its *maximum* monomial.
+term of a polynomial is its *maximum* monomial.  An order keeps a tree's
+key only while the tree lives, and pickles and copies without its keys.
 
 A consequence asserted in the tests: for binary signatures a left comb
 beats every right comb of the same arity regardless of the symbol order,
@@ -16,6 +17,7 @@ because its first path word is longer.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from .trees import OperationSymbol, Signature, TreeError, TreeMonomial
@@ -38,13 +40,16 @@ class OperationOrder:
     _ranks: dict[OperationSymbol, int] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-    _key_cache: dict[TreeMonomial, MonomialKey] = field(
-        init=False, repr=False, compare=False, default_factory=dict
+    _key_cache: weakref.WeakKeyDictionary[TreeMonomial, MonomialKey] = field(
+        init=False, repr=False, compare=False, default_factory=weakref.WeakKeyDictionary
     )
 
     def __post_init__(self) -> None:
         Signature(self.ranked)  # refuses two symbols of one name
         self._ranks.update((sym, i) for i, sym in enumerate(self.ranked))
+
+    def __reduce__(self):
+        return (OperationOrder, (self.ranked,))
 
     @classmethod
     def from_string(cls, text: str, sig: Signature) -> "OperationOrder":

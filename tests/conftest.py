@@ -49,15 +49,45 @@ def random_rules(seed, quad):
     return [og.RewriteRule.from_polynomial(p, order) for p in polys], order
 
 
-def relabel(p: og.TreePolynomial, mapping) -> og.TreePolynomial:
-    """``p`` with each operation renamed by ``mapping``, name -> symbol."""
+_BD = str.maketrans("bd", "db")
 
-    def tree(t):
-        if t.is_leaf:
-            return t
-        return og.TreeMonomial(mapping[t.label.name], [tree(c) for c in t.children])
 
-    return og.TreePolynomial({tree(m): c for m, c in p.terms.items()}, p.arity)
+def bd_swap(text: str) -> str:
+    """An order or polynomial text with the quadri operations b and d swapped."""
+    return text.translate(_BD)
+
+
+def assert_bd_conjugates(doc: dict, conj: dict) -> None:
+    """Swapping b and d maps the JSON report ``doc`` onto ``conj``: its
+    order, per-iteration counts and status, and, as sorted texts (list
+    order differs), its basis and each iteration's added elements."""
+    order = doc["order"]
+    assert bd_swap(order) == conj["order"]
+    assert [(it["compositions"], it["nonzero"]) for it in doc["iterations"]] == [
+        (it["compositions"], it["nonzero"]) for it in conj["iterations"]
+    ], order
+    assert doc["status"] == conj["status"], order
+    assert sorted(map(bd_swap, doc["basis"])) == sorted(conj["basis"]), (order, "basis")
+    for n, (it, conj_it) in enumerate(zip(doc["iterations"], conj["iterations"]), 1):
+        assert sorted(map(bd_swap, it["added"])) == sorted(conj_it["added"]), (order, n)
+
+
+def gs_basis(report, pres: og.Presentation) -> og.GSBasis:
+    """The final basis of a ``CompletionReport``, or of its JSON dict, as a
+    ``GSBasis`` over ``pres`` under the report's order."""
+    if isinstance(report, dict):
+        text = report["order"]
+        polys = [og.parse_polynomial(p, pres.signature) for p in report["basis"]]
+    else:
+        text, polys = report.order, report.basis
+    order = og.OperationOrder.from_string(text, pres.signature)
+    return og.GSBasis(tuple(og.RewriteRule.from_polynomial(p, order) for p in polys), order)
+
+
+def quadri_excess(basis: og.GSBasis, n_max: int) -> list[int]:
+    """``count_normal - quadri_dim`` at arities 1..n_max; 0 where ``basis``
+    counts the quadri operad exactly."""
+    return [og.count_normal(basis, n) - og.quadri_dim(n) for n in range(1, n_max + 1)]
 
 
 def load_bench_module(name: str):

@@ -22,7 +22,15 @@ import pytest
 import operad_gsb as og
 from operad_gsb.rewriting import Reducer, RewriteRule
 
-from conftest import load_bench_module, random_polynomial, random_tree, relabel
+from conftest import (
+    assert_bd_conjugates,
+    bd_swap,
+    gs_basis,
+    load_bench_module,
+    quadri_excess,
+    random_polynomial,
+    random_tree,
+)
 
 LEAF = og.LEAF
 
@@ -94,6 +102,14 @@ def sweep(quad):
         _, report = og.complete(quad.relations, order)
         rows[text] = report
     return rows
+
+
+@pytest.fixture(scope="session")
+def sweep_json(quad, sweep):
+    return {
+        text: report.to_json_dict(og.OperationOrder.from_string(text, quad.signature))
+        for text, report in sweep.items()
+    }
 
 
 def test_criterion_1_dendriform_up(dend, dend_up):
@@ -193,11 +209,10 @@ def test_criterion_4_disputed_rows_as_reported(sweep, text):
 
 
 def test_criterion_4_disputed_rows_match_conjugates(sweep):
-    swap = str.maketrans("bd", "db")
     for text, expected in DISPUTED_ROWS.items():
         rec = sweep[text].iterations[1]
         assert (rec.compositions, rec.nonzero) == expected
-        conj = text.translate(swap)
+        conj = bd_swap(text)
         conj_rec = sweep[conj].iterations[1]
         assert (rec.compositions, rec.nonzero) == (
             conj_rec.compositions,
@@ -208,22 +223,12 @@ def test_criterion_4_disputed_rows_match_conjugates(sweep):
                "which carry the reference values")
 
 
-def test_criterion_4_sweep_is_bd_symmetric(quad, sweep):
+def test_criterion_4_sweep_is_bd_symmetric(sweep_json):
     # relabeling b<->d maps each row onto its conjugate: the counts and
-    # the status, and as sets (list order differs) each iteration's added
+    # the status, and as texts (list order differs) each iteration's added
     # elements and the final basis
-    swap = str.maketrans("bd", "db")
-    mapping = {name: quad.signature[name.translate(swap)] for name in "abcd"}
-    for text, report in sweep.items():
-        conj = sweep[text.translate(swap)]
-        assert [(r.compositions, r.nonzero) for r in report.iterations] == [
-            (r.compositions, r.nonzero) for r in conj.iterations
-        ]
-        assert report.status == conj.status
-        for rec, conj_rec in zip(report.iterations, conj.iterations):
-            assert {relabel(p, mapping) for p in rec.added} == set(conj_rec.added), text
-        assert len(report.basis) == len(conj.basis), text
-        assert {relabel(p, mapping) for p in report.basis} == set(conj.basis), text
+    for text, doc in sweep_json.items():
+        assert_bd_conjugates(doc, sweep_json[bd_swap(text)])
     _pass("4d", "all 24 rows pair up under b/d relabeling: equal counts and "
                "status, relabeled added elements and final bases")
 
@@ -239,14 +244,11 @@ def test_criterion_4_finite_pair_is_a_gsb(quad, sweep):
     for text in FINITE_PAIR:
         report = sweep[text]
         assert report.status == "iteration_cap", text
-        order = og.OperationOrder.from_string(text, quad.signature)
-        rules = tuple(RewriteRule.from_polynomial(p, order) for p in report.basis)
-        basis = og.GSBasis(rules, order)
-        assert len(rules) == 17 and {r.arity for r in rules} == {3, 4}, text
+        basis = gs_basis(report, quad)
+        assert len(basis.rules) == 17 and {r.arity for r in basis.rules} == {3, 4}, text
         check = og.is_gsb(basis)
         assert (check.status, len(check.certificate)) == ("confirmed", 81), text
-        dims = [og.count_normal(basis, n) for n in range(1, 13)]
-        assert dims == [og.quadri_dim(n) for n in range(1, 13)], text
+        assert quadri_excess(basis, 12) == [0] * 12, text
     elapsed = time.perf_counter() - start
     _pass("4h", f"{' and '.join(FINITE_PAIR)} stop at the iteration cap with a "
                "17-element basis of arity 3 and 4, confirmed by all 81 "
@@ -273,13 +275,8 @@ def test_criterion_4_exactness_frontier_of_capped_rows(quad, sweep):
     capped = {text for text, report in sweep.items() if report.status == "iteration_cap"}
     assert capped == set(EXACTNESS_FRONTIER) | set(FINITE_PAIR)
     for text, (frontier, excess) in EXACTNESS_FRONTIER.items():
-        order = og.OperationOrder.from_string(text, quad.signature)
-        rules = tuple(RewriteRule.from_polynomial(p, order) for p in sweep[text].basis)
-        basis = og.GSBasis(rules, order)
-        dims = [og.count_normal(basis, n) for n in range(1, frontier + 1)]
-        assert dims == [og.quadri_dim(n) for n in range(1, frontier + 1)], text
-        over = og.count_normal(basis, frontier + 1) - og.quadri_dim(frontier + 1)
-        assert over == excess, (text, over)
+        basis = gs_basis(sweep[text], quad)
+        assert quadri_excess(basis, frontier + 1) == [0] * frontier + [excess], text
     _pass("4i", "the 8 diverging capped rows meet quadri_dim through arity 5 "
                "(6 for the a<b<d<c pair) and exceed it by 1 (3) one arity later")
 
@@ -289,16 +286,10 @@ def _recorded_digests() -> dict:
     return load_bench_module("reference").DIGESTS
 
 
-def test_criterion_4_sweep_bytes_match_recorded_digest(quad, sweep):
+def test_criterion_4_sweep_bytes_match_recorded_digest(sweep_json):
     # every final basis of the sweep, byte for byte, as the benchmark's
     # sweep workload serializes and hashes it
-    rows = [
-        json.dumps(
-            report.to_json_dict(og.OperationOrder.from_string(text, quad.signature)),
-            sort_keys=True,
-        )
-        for text, report in sweep.items()
-    ]
+    rows = [json.dumps(doc, sort_keys=True) for doc in sweep_json.values()]
     digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
     assert digest == _recorded_digests()[("sweep", "full")]
     _pass("4e", "all 24 reports, final bases included, match the recorded "

@@ -123,27 +123,48 @@ def test_reduce_trace_pinned(capsys, preset, order, text, steps, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+CATALAN = [1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
+QUADRI_DIMS = [1, 4, 23, 156, 1162, 9192, 75819, 644908]
+
+
 def test_count_dendriform(capsys):
-    code, out, _ = run(
-        capsys, "count", "--preset", "dendriform", "--order", "prec<succ",
-        "--n-max", "5", "--format", "json",
-    )
-    assert code == 0
-    rows = json.loads(out)
-    assert [r["normal_count"] for r in rows] == [1, 2, 5, 14, 42]
-    assert [r["formula_value"] for r in rows] == [1, 2, 5, 14, 42]
-    assert [r["oracle_value"] for r in rows] == [1, 2, 5, 14, 42]
+    # the oracle's guard counts its columns (50,388 at arity 10), not the
+    # 2,489,344 trees of the arity, so the whole table to arity 10 runs
+    # with no skip and nothing on stderr
+    for n_max in (5, 10):
+        code, out, err = run(
+            capsys, "count", "--preset", "dendriform", "--order", "prec<succ",
+            "--n-max", str(n_max), "--oracle-max", str(n_max), "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        rows = json.loads(out)
+        assert [r["arity"] for r in rows] == list(range(1, n_max + 1))
+        for key in ("normal_count", "formula_value", "oracle_value"):
+            assert [r[key] for r in rows] == CATALAN[:n_max]
 
 
 def test_count_quadri(capsys):
-    code, out, _ = run(
-        capsys, "count", "--preset", "quadri", "--order", "c<b<d<a",
-        "--n-max", "4", "--format", "json",
+    # the oracle meets the count and the formula up to arity 6, the
+    # paper's top quadri dimension; quadri arity 8 has 1,211,848 columns,
+    # so the oracle refuses it after arities 1-7 agree, while the count
+    # still meets the formula
+    refusal = (
+        "warning: oracle skipped at arity 8: 1211848 columns at arity 8 exceed "
+        "the oracle guard of 1000000\n"
     )
-    assert code == 0
-    rows = json.loads(out)
-    for key in ("normal_count", "formula_value", "oracle_value"):
-        assert [r[key] for r in rows] == [1, 4, 23, 156]
+    for n_max, expected_err in ((4, ""), (6, ""), (8, refusal)):
+        code, out, err = run(
+            capsys, "count", "--preset", "quadri", "--order", "c<b<d<a",
+            "--n-max", str(n_max), "--oracle-max", str(n_max), "--format", "json",
+        )
+        assert (code, err) == (0, expected_err)
+        rows = json.loads(out)
+        dims = QUADRI_DIMS[:n_max]
+        assert [r["arity"] for r in rows] == list(range(1, n_max + 1))
+        for key in ("normal_count", "formula_value"):
+            assert [r[key] for r in rows] == dims
+        oracle = dims[:7] + [None] if expected_err else dims
+        assert [r["oracle_value"] for r in rows] == oracle
 
 
 def test_count_single_row(capsys):
@@ -287,8 +308,16 @@ def test_table1_parallel_matches_serial(capsys, monkeypatch, tmp_path):
     parallel = tmp_path / "parallel.json"
     run(capsys, "table1", "--preset", "dendriform", "--out", str(serial))
     monkeypatch.setenv("OPERAD_GSB_THREADS", "2")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     run(capsys, "table1", "--preset", "dendriform", "--out", str(parallel))
     assert serial.read_text() == parallel.read_text()
+    # the headline 24-order sweep on two workers prints the bytes of the
+    # recorded serial output
+    code, out, _ = run(capsys, "table1", "--preset", "quadri", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3a9ddae6a465e09434c34ad6537e08761a74c8dd2f892cf90284e7670f56d319"
+    )
 
 
 def test_deterministic_output(capsys):

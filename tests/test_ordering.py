@@ -1,11 +1,15 @@
 """Path-lexicographic order: symbol ranks, monomial keys, comparison, maxima."""
 
+import copy
+import gc
+import pickle
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 import operad_gsb as og
+from operad_gsb import trees
 from operad_gsb.ordering import EQ, GT, LT
 
 from conftest import random_tree
@@ -195,3 +199,35 @@ def test_grafting_compatibility(seed):
     # outer wrapping: graft the same tuple of arguments into s and t
     args = [random_tree(rng, SYM4, rng.randint(1, 3)) for _ in range(n)]
     assert og.compare_monomials(og.graft(s, args), og.graft(t, args), o) == LT
+
+
+def test_pickle_and_copy_leave_the_cache_behind(quad_cbda, quad_basis_cbda):
+    # an order and a basis over it round-trip equal, and the copied order
+    # still keys trees, from a cache of its own
+    t = quad_basis_cbda.rules[0].lead
+    key = quad_cbda.monomial_key(t)
+    for copier in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+        order, basis = copier(quad_cbda), copier(quad_basis_cbda)
+        assert order == quad_cbda and basis == quad_basis_cbda
+        assert order._key_cache is not quad_cbda._key_cache
+        assert order.monomial_key(t) == basis.order.monomial_key(t) == key
+
+
+def test_keys_do_not_outlive_their_trees(quad):
+    # once a completion's results are dropped and the graft memo is
+    # cleared, the order's cache keeps no tree alive: as many trees live
+    # as before the call, and every key left belongs to one of them
+    def live_trees():
+        return {ref() for table in trees._INTERNED.values() for ref in table.values()}
+
+    order = og.OperationOrder.from_string("a<b<d<c", quad.signature)
+    trees._memo_graft.cache_clear()
+    gc.collect()
+    before = len(live_trees())
+    basis, report = og.complete(quad.relations, order)
+    assert report.status == "iteration_cap" and order._key_cache
+    del basis, report
+    trees._memo_graft.cache_clear()
+    gc.collect()
+    assert len(live_trees()) == before
+    assert set(order._key_cache) <= live_trees()
