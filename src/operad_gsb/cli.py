@@ -29,7 +29,7 @@ from .completion import (
 from .enumeration import (
     GuardError,
     catalan,
-    count_normal,
+    normal_counts,
     oracle_dimensions,
     quadri_dim,
 )
@@ -175,16 +175,17 @@ def _probe_out(path: Path | None) -> None:
 
     Opening for append leaves an existing file as it is, and a file the
     probe creates is removed again, so a command that fails later leaves
-    the path as it found it.
+    the path as it found it.  Through a dangling symbolic link the file
+    created is the link's target, which goes and the link stays.
     """
     if path is None:
         return
-    existed = os.path.lexists(path)
+    existed = os.path.exists(path)
     with _writing(path):
         with open(path, "a", encoding="utf-8"):
             pass
         if not existed:
-            path.unlink()
+            os.unlink(os.path.realpath(path))
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -300,11 +301,13 @@ def _cmd_count(args) -> int:
         sys.stderr.write(f"warning: basis not confirmed ({report.status})\n")
     formula = _formula_for(pres)
     oracle = _oracle_column(pres, min(args.n_max, args.oracle_max))
+    # one count table, grown arity by arity across the rows
+    counts = normal_counts(basis)
     rows = []
     for n in range(1, args.n_max + 1):
         rows.append({
             "arity": n,
-            "normal_count": count_normal(basis, n),
+            "normal_count": next(counts),
             "formula_value": formula(n) if formula else None,
             "oracle_value": oracle.get(n),
         })

@@ -22,6 +22,10 @@ the multiples where ``f`` embeds at or inside the root occurrence of
 ``g``, so each geometric overlap is produced exactly once across the two
 orientations of a pair.
 
+``complete`` and ``is_gsb`` share one composition loop: a round keeps its
+``CompositionRecord``s, in loop order, as ``IterationRecord.records``,
+the same records ``is_gsb`` returns as its certificate.
+
 ``complete`` and ``is_gsb`` run with the cyclic garbage collector paused:
 they build only hash-consed trees and values that point down to them, so
 the collector has nothing to free (see ``trees``).  The switch is
@@ -33,7 +37,7 @@ turned it off, in which case it stays off and nothing is collected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .ordering import OperationOrder
@@ -87,6 +91,16 @@ class SmallCommonMultiple:
 
 
 @dataclass(frozen=True)
+class CompositionRecord:
+    """One checked composition: the pair, its SCM, and the normal form."""
+
+    outer_index: int
+    inner_index: int
+    scm: SmallCommonMultiple
+    normal_form: TreePolynomial
+
+
+@dataclass(frozen=True)
 class CompletionConfig:
     """Caps for a completion run; all positive."""
 
@@ -100,13 +114,17 @@ class CompletionConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One completion round: its compositions and the normal forms added."""
+    """One completion round: its composition records and the normal forms added."""
 
-    compositions: int
+    records: tuple[CompositionRecord, ...]
     added: tuple[TreePolynomial, ...]
 
     def __post_init__(self) -> None:
-        assert self.compositions >= len(self.added)
+        assert self.compositions >= self.nonzero
+
+    @property
+    def compositions(self) -> int:
+        return len(self.records)
 
     @property
     def nonzero(self) -> int:
@@ -136,13 +154,12 @@ STATUS_ARITY_CAP = "arity_cap"
 
 @dataclass
 class CompletionReport:
-    """Per-iteration counts plus the final status and basis, JSON-ready."""
+    """Per-iteration records plus the final status and basis, JSON-ready."""
 
     order: str
     iterations: tuple[IterationRecord, ...]
     status: str
     basis: tuple[TreePolynomial, ...]
-    pair_log: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def basis_size(self) -> int:
@@ -312,22 +329,12 @@ def _validate_input(relations: Sequence[TreePolynomial], ord: OperationOrder) ->
         raise TreeError("zero relation in completion input")
 
 
-@dataclass(frozen=True)
-class CompositionRecord:
-    """One checked composition: the pair, its SCM, and the normal form."""
-
-    outer_index: int
-    inner_index: int
-    scm: SmallCommonMultiple
-    normal_form: TreePolynomial
-
-
 def _check_compositions(
     rules: tuple[RewriteRule, ...],
     ord: OperationOrder,
     cfg: CompletionConfig,
     first_new: int = 0,
-) -> tuple[list[CompositionRecord], bool]:
+) -> tuple[tuple[CompositionRecord, ...], bool]:
     """Reduce every composition of ``rules`` against ``rules`` themselves.
 
     Walks ordered pairs (outer, inner), then their SCMs in preorder,
@@ -347,7 +354,7 @@ def _check_compositions(
             for scm in scms:
                 nf = reducer.reduce(s_polynomial(f, g, scm))
                 records.append(CompositionRecord(j_outer, i_inner, scm, nf))
-    return records, skipped_any
+    return tuple(records), skipped_any
 
 
 @_cyclic_gc_paused(hand_back=True)
@@ -376,34 +383,22 @@ def complete(
     rules = self_reduce([RewriteRule.from_polynomial(r, ord) for r in relations], ord)
     first_new = 0
     iterations: list[IterationRecord] = []
-    pair_log: list[list] = []
     status = STATUS_ITERATION_CAP
     arity_skipped = False
     for _ in range(cfg.max_iterations):
         records, skipped = _check_compositions(rules, ord, cfg, first_new)
         arity_skipped = arity_skipped or skipped
-        survivors = list(dict.fromkeys(
+        survivors = tuple(dict.fromkeys(
             rec.normal_form.make_monic(ord) for rec in records if rec.normal_form
         ))
         first_new = len(rules)
         rules = rules + tuple(RewriteRule.from_polynomial(s, ord) for s in survivors)
-        iterations.append(IterationRecord(len(records), tuple(survivors)))
-        pair_log.append([
-            (rec.outer_index, rec.inner_index, rec.scm, not rec.normal_form.is_zero)
-            for rec in records
-        ])
+        iterations.append(IterationRecord(records, survivors))
         if not survivors:
             status = STATUS_ARITY_CAP if arity_skipped else STATUS_CONFIRMED
             break
-    final_rules = self_reduce(rules, ord)
-    basis = GSBasis(final_rules, ord)
-    report = CompletionReport(
-        order=ord.as_string(),
-        iterations=tuple(iterations),
-        status=status,
-        basis=basis.polynomials(),
-        pair_log=pair_log,
-    )
+    basis = GSBasis(self_reduce(rules, ord), ord)
+    report = CompletionReport(ord.as_string(), tuple(iterations), status, basis.polynomials())
     return basis, report
 
 
@@ -434,4 +429,4 @@ def is_gsb(basis: GSBasis, cfg: CompletionConfig | None = None) -> GsbCheck:
         status = "indeterminate"
     else:
         status = "confirmed"
-    return GsbCheck(status, tuple(records))
+    return GsbCheck(status, records)

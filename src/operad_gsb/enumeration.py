@@ -7,7 +7,9 @@ filtering of every tree of the arity, a recurrence over the root states
 of a tree automaton built from the lead subtrees, and the dimension of
 the quotient operad built arity by arity from the presentation alone,
 each arity a sum of tensor products of the lower ones divided by the
-relations at the root, by exact Gaussian elimination.
+relations at the root, by exact Gaussian elimination.  The last two grow
+arity by arity (``normal_counts``, ``oracle_dimensions``), so a table of
+arities 1..n builds each arity once.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "count_tree_monomials",
     "enumerate_normal",
     "count_normal",
+    "normal_counts",
     "dimension_by_linear_algebra",
     "oracle_dimensions",
     "GuardError",
@@ -141,8 +144,16 @@ def enumerate_normal(basis: GSBasis, n: int) -> list[TreeMonomial]:
 
 
 def count_normal(basis: GSBasis, n: int) -> int:
-    """Number of normal monomials of arity ``n``, by a bottom-up tree
-    automaton whose patterns are the internal subtrees of the leads.
+    """Number of normal monomials of arity ``n`` (see ``normal_counts``)."""
+    if n < 1:
+        raise TreeError(f"arity must be >= 1, got {n}")
+    return next(islice(normal_counts(basis), n - 1, None))
+
+
+def normal_counts(basis: GSBasis) -> Iterator[int]:
+    """Numbers of normal monomials of arity 1, 2, ..., by a bottom-up tree
+    automaton whose patterns are the internal subtrees of the leads, its
+    table grown arity by arity, so a table of arities 1..n builds each once.
 
     A tree's state is the set of patterns that match at its root: ``p``
     matches ``(f l r)`` when ``p.label is f`` and each child of ``p`` is
@@ -153,8 +164,6 @@ def count_normal(basis: GSBasis, n: int) -> int:
     """
     sig = basis.order.signature
     _require_binary(sig)
-    if n < 1:
-        raise TreeError(f"arity must be >= 1, got {n}")
     leads = frozenset(basis.leads)
     # root label -> the internal subtrees of the leads with that label
     patterns = {s: set() for s in sig.symbols}
@@ -163,7 +172,9 @@ def count_normal(basis: GSBasis, n: int) -> int:
             patterns[p.label].add(p)
     # count[m][state]: normal trees of arity m whose root state is state
     count: list[dict[frozenset, int]] = [{}, {frozenset(): 1}]
-    for m in range(2, n + 1):
+    yield 1
+    while True:
+        m = len(count)
         row: dict[frozenset, int] = {}
         for pats in patterns.values():
             for i in range(1, m):
@@ -177,7 +188,7 @@ def count_normal(basis: GSBasis, n: int) -> int:
                         if state.isdisjoint(leads):
                             row[state] = row.get(state, 0) + a * b
         count.append(row)
-    return sum(count[n].values())
+        yield sum(row.values())
 
 
 def dimension_by_linear_algebra(pres: Presentation, n: int) -> int:

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import importlib.util
 import random
+from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 import operad_gsb as og
+from operad_gsb.enumeration import normal_counts, oracle_dimensions
 
 
 def random_tree(rng: random.Random, symbols, arity: int) -> og.TreeMonomial:
@@ -28,6 +31,50 @@ def random_polynomial(rng: random.Random, symbols, arity: int, max_terms: int = 
         coeff = rng.choice([-2, -1, 1, 2])
         terms[random_tree(rng, symbols, arity)] = coeff
     return og.TreePolynomial(terms, arity)
+
+
+def random_binary_presentation(seed):
+    """1-3 binary operations under a random order, with 1-3 relations of
+    arity 3-4 whose coefficients lie in {1, -1, 2, 1/2}."""
+    rng = random.Random(seed)
+    symbols = tuple(og.OperationSymbol(f"o{i}", 2) for i in range(rng.randint(1, 3)))
+    relations = []
+    for _ in range(rng.randint(1, 3)):
+        arity = rng.randint(3, 4)
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            terms[random_tree(rng, symbols, arity)] = rng.choice([1, -1, 2, Fraction(1, 2)])
+        relations.append(og.TreePolynomial(terms, arity))
+    order = og.OperationOrder(tuple(rng.sample(symbols, len(symbols))))
+    return og.Presentation(og.Signature(symbols), tuple(relations), f"random {seed}"), order
+
+
+DIFFERENTIAL_CAPS = og.CompletionConfig(max_iterations=3, max_arity=6)
+
+
+def check_against_oracle(seed: int) -> str:
+    """Complete ``random_binary_presentation(seed)`` under
+    ``DIFFERENTIAL_CAPS`` and judge the result by the rank oracle, which
+    knows nothing of rewriting; return the completion status.
+
+    Through the arity cap a basis counts at least the oracle's dimension,
+    since its leads lie in the ideal, and exactly that when every
+    composition up to the cap reduces to zero (the diamond lemma).  A
+    confirmed basis is confirmed again by ``is_gsb``, and its last round
+    kept only zero normal forms."""
+    pres, order = random_binary_presentation(seed)
+    basis, report = og.complete(pres.relations, order, DIFFERENTIAL_CAPS)
+    n_max = DIFFERENTIAL_CAPS.max_arity
+    counts = islice(normal_counts(basis), n_max)
+    dims = islice(oracle_dimensions(pres), n_max)
+    exact = report.status in ("gsb_confirmed", "arity_cap")
+    for n, (count, dim) in enumerate(zip(counts, dims), 1):
+        assert count >= dim, (seed, n, count, dim)
+        assert count == dim or not exact, (seed, report.status, n, count, dim)
+    if report.status == "gsb_confirmed":
+        assert og.is_gsb(basis, DIFFERENTIAL_CAPS).status == "confirmed", seed
+        assert all(rec.normal_form.is_zero for rec in report.iterations[-1].records), seed
+    return report.status
 
 
 def random_rules(seed, quad):

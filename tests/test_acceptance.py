@@ -170,8 +170,8 @@ def test_criterion_3_quadri_good_orders(quad, quad_cbda, quad_cdba):
         assert report.status == "gsb_confirmed"
         assert elapsed < 5.0
         got = [
-            (outer, inner, og.format_tree(scm.multiple))
-            for outer, inner, scm, _ in report.pair_log[0]
+            (rec.outer_index, rec.inner_index, og.format_tree(rec.scm.multiple))
+            for rec in report.iterations[0].records
         ]
         assert got == SIXTEEN
     _pass("3", "both quadri orders: (16, 0) confirmed, compositions match one-for-one")

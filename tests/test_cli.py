@@ -245,6 +245,26 @@ def test_count_builds_each_oracle_arity_once(capsys, monkeypatch):
     assert built == [2, 3, 4, 5, 6]
 
 
+def test_count_builds_one_normal_table(capsys, monkeypatch):
+    # one count table grows across the rows, as the oracle's quotient does,
+    # instead of a table from arity 2 up for every row
+    tables = []
+    real = cli.normal_counts
+
+    def normal_counts(basis):
+        tables.append(basis)
+        return real(basis)
+
+    monkeypatch.setattr(cli, "normal_counts", normal_counts)
+    code, out, _ = run(capsys, "count", "--preset", "quadri", "--order", "c<b<d<a",
+                       "--n-max", "9", "--oracle-max", "0", "--format", "json")
+    assert code == 0
+    assert [r["normal_count"] for r in json.loads(out)] == [
+        enumeration.quadri_dim(n) for n in range(1, 10)
+    ]
+    assert len(tables) == 1
+
+
 def test_count_formula_follows_the_relations(capsys, tmp_path):
     # a formula belongs to a preset's relations, not to a file's name
     misnamed = tmp_path / "dendriform.rel"
@@ -534,6 +554,19 @@ def test_out_untouched_when_command_fails(capsys, tmp_path):
         assert code == 1 and err.startswith("error: ")
     assert existing.read_text(encoding="utf-8") == "earlier result\n"
     assert not fresh.exists()
+    # a dangling link stays dangling: its target is not created
+    link = tmp_path / "out.json"
+    try:
+        os.symlink("target.txt", link)
+    except (OSError, NotImplementedError) as exc:
+        pytest.skip(f"no symbolic links here: {exc}")
+    code, out, err = run(
+        capsys, "complete", "--preset", "quadri", "--order", "a<b<e<d",
+        "--out", str(link),
+    )
+    assert code == 1 and err.startswith("error: ")
+    assert os.readlink(link) == "target.txt"
+    assert not (tmp_path / "target.txt").exists()
 
 
 def test_non_utf8_relations_is_an_error(capsys, tmp_path):

@@ -232,15 +232,36 @@ def test_is_gsb(dend, dend_down, dend_basis_down, quad, quad_cdba):
 
 
 @pytest.mark.parametrize("order_text", ["c<b<d<a", "c<d<b<a"])
-def test_is_gsb_certificate_matches_pair_log(quad, order_text):
+def test_is_gsb_certificate_equals_first_round_records(quad, order_text):
     # complete and is_gsb share one composition loop, so on a basis
-    # confirmed at iteration 1 they check the same compositions in order
+    # confirmed at iteration 1 they keep the same records in order
     order = og.OperationOrder.from_string(order_text, quad.signature)
     basis, report = og.complete(quad.relations, order)
+    (first,) = report.iterations
     certificate = og.is_gsb(basis).certificate
     assert [(r.outer_index, r.inner_index, r.scm) for r in certificate] == [
-        (outer, inner, scm) for outer, inner, scm, _ in report.pair_log[0]
+        (r.outer_index, r.inner_index, r.scm) for r in first.records
     ]
+    assert certificate == first.records
+    assert len(first.records) == first.compositions == 16
+
+
+@pytest.mark.xfail(strict=True, reason="the root overlap of two rules with one lead "
+                   "is never enumerated (ROADMAP item 13)")
+def test_two_rules_with_one_lead_compose_at_the_root():
+    # a round can add two rules with one lead; their difference is a
+    # composition at the root, but _enumerate_scms sees two equal leads
+    # as a rule with itself and skips the overlap in both orientations
+    sig = og.Signature((og.OperationSymbol("f", 2),))
+    order = og.OperationOrder.from_string("f", sig)
+    rules = tuple(
+        og.RewriteRule.from_polynomial(og.parse_polynomial(text, sig), order)
+        for text in ("(f (f * *) *) - (f * (f * *))", "(f (f * *) *) - 2 (f * (f * *))")
+    )
+    assert rules[0].lead == rules[1].lead
+    certificate = og.is_gsb(GSBasis(rules, order)).certificate
+    at_root = [rec for rec in certificate if rec.scm.multiple == rules[0].lead]
+    assert [{rec.outer_index, rec.inner_index} for rec in at_root] == [{0, 1}]
 
 
 def test_iteration_one_count_matches_chain_formula(quad):
